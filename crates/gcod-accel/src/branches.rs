@@ -15,8 +15,8 @@
 
 use crate::chunk::{allocate_chunks, denser_branch_cycles, ChunkAllocation};
 use crate::config::AcceleratorConfig;
-use crate::memory::{Phase, TrafficCounter};
 use gcod_core::SplitWorkload;
+use gcod_platform::memory::{Phase, TrafficCounter};
 use serde::{Deserialize, Serialize};
 
 /// Cycle count and utilization of one branch for one layer.

@@ -15,22 +15,25 @@
 //!   query-based weight forwarding),
 //! * [`pipeline`] — the efficiency-aware and resource-aware inter-phase
 //!   pipelines (Fig. 7, Tab. II),
-//! * [`memory`] — off-chip traffic and bandwidth accounting,
-//! * [`energy`] — the energy breakdown of Fig. 12,
-//! * [`simulator`] — the top-level [`GcodAccelerator`]
-//!   that ties everything together and produces a [`report::PerfReport`].
+//! * [`simulator`] — the top-level [`GcodAccelerator`] that ties everything
+//!   together behind the shared [`gcod_platform::Platform`] contract.
+//!
+//! Off-chip traffic accounting, the energy breakdown of Fig. 12 and the
+//! [`PerfReport`](gcod_platform::report::PerfReport) every platform returns
+//! live in `gcod-platform` ([`gcod_platform::memory`],
+//! [`gcod_platform::energy`], [`gcod_platform::report`]).
 //!
 //! # Example
 //!
 //! ```
 //! use gcod_accel::config::AcceleratorConfig;
 //! use gcod_accel::simulator::GcodAccelerator;
-//! use gcod_accel::{Platform, SimRequest};
 //! use gcod_core::{GcodConfig, SubgraphLayout, SplitWorkload};
 //! use gcod_graph::{DatasetProfile, GraphGenerator};
 //! use gcod_nn::models::ModelConfig;
 //! use gcod_nn::quant::Precision;
 //! use gcod_nn::workload::InferenceWorkload;
+//! use gcod_platform::{Platform, SimRequest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = GraphGenerator::new(0).generate(&DatasetProfile::cora().scaled(0.05))?;
@@ -56,11 +59,4 @@ pub mod config;
 pub mod pipeline;
 pub mod simulator;
 
-// The traffic, energy and report types started life in this crate and moved
-// to `gcod-platform` when the shared `Platform` contract was introduced; the
-// module paths are re-exported so `gcod_accel::report::PerfReport` et al.
-// keep working.
-pub use gcod_platform::{energy, memory, report};
-
-pub use gcod_platform::{Platform, PlatformError, SimRequest};
 pub use simulator::GcodAccelerator;

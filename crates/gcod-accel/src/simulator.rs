@@ -43,17 +43,9 @@ impl GcodAccelerator {
     }
 
     /// Simulates one full inference of `workload` whose adjacency has been
-    /// split into `split` by the GCoD algorithm.
-    ///
-    /// This is the split-mandatory entry point backing the [`Platform`]
-    /// implementation; prefer [`Platform::simulate`] with a
-    /// [`SimRequest`] when treating the accelerator uniformly with the
-    /// baseline platforms.
-    pub fn simulate_split(
-        &self,
-        workload: &InferenceWorkload,
-        split: &SplitWorkload,
-    ) -> PerfReport {
+    /// split into `split` by the GCoD algorithm (the body of
+    /// [`Platform::simulate`], once the request's split is known present).
+    fn simulate_split(&self, workload: &InferenceWorkload, split: &SplitWorkload) -> PerfReport {
         let mut traffic = TrafficCounter::new();
         let mut total_cycles = 0u64;
         let mut utilization_acc = 0.0f64;
@@ -255,11 +247,11 @@ fn bytes_to_cycles(bytes: u64, bytes_per_second: f64, cycle_seconds: f64) -> u64
 mod tests {
     use super::*;
     use gcod_core::{GcodConfig, Polarizer, SubgraphLayout};
-    use gcod_graph::{DatasetProfile, Graph, GraphGenerator};
+    use gcod_graph::{DatasetProfile, GraphGenerator};
     use gcod_nn::models::ModelConfig;
     use gcod_nn::workload::InferenceWorkload;
 
-    fn setup() -> (Graph, SplitWorkload, InferenceWorkload) {
+    fn setup() -> SimRequest {
         let g = GraphGenerator::new(101)
             .generate(&DatasetProfile::custom("sim", 400, 1600, 32, 4))
             .unwrap();
@@ -274,14 +266,18 @@ mod tests {
         let split = SplitWorkload::extract(permuted.adjacency(), &layout);
         let workload =
             InferenceWorkload::build(&permuted, &ModelConfig::gcn(&permuted), Precision::Fp32);
-        (permuted, split, workload)
+        SimRequest::with_split(workload, split)
+    }
+
+    fn simulate(config: AcceleratorConfig, request: &SimRequest) -> PerfReport {
+        GcodAccelerator::new(config)
+            .simulate(request)
+            .expect("request carries a split")
     }
 
     #[test]
     fn simulation_produces_positive_metrics() {
-        let (_, split, workload) = setup();
-        let report =
-            GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(&workload, &split);
+        let report = simulate(AcceleratorConfig::vcu128(), &setup());
         assert!(report.latency_ms > 0.0);
         assert!(report.cycles > 0);
         assert!(report.off_chip_bytes > 0);
@@ -303,10 +299,14 @@ mod tests {
             InferenceWorkload::build(&permuted, &ModelConfig::gcn(&permuted), Precision::Fp32);
         let int8_w =
             InferenceWorkload::build(&permuted, &ModelConfig::gcn(&permuted), Precision::Int8);
-        let fp32 =
-            GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(&fp32_w, &split);
-        let int8 =
-            GcodAccelerator::new(AcceleratorConfig::vcu128_int8()).simulate_split(&int8_w, &split);
+        let fp32 = simulate(
+            AcceleratorConfig::vcu128(),
+            &SimRequest::with_split(fp32_w, split.clone()),
+        );
+        let int8 = simulate(
+            AcceleratorConfig::vcu128_int8(),
+            &SimRequest::with_split(int8_w, split),
+        );
         assert!(int8.latency_ms <= fp32.latency_ms);
         assert!(int8.off_chip_bytes < fp32.off_chip_bytes);
     }
@@ -329,7 +329,6 @@ mod tests {
             .unwrap();
         let pruned_split = SplitWorkload::extract(&tuned, &layout);
         let model_cfg = ModelConfig::gcn(&permuted);
-        let accel = GcodAccelerator::new(AcceleratorConfig::small_test());
         let full_w = InferenceWorkload::build(&permuted, &model_cfg, Precision::Fp32);
         let pruned_w = InferenceWorkload::build_with_adjacency_nnz(
             &permuted,
@@ -337,35 +336,35 @@ mod tests {
             Precision::Fp32,
             pruned_split.total_nnz(),
         );
-        let full = accel.simulate_split(&full_w, &full_split);
-        let pruned = accel.simulate_split(&pruned_w, &pruned_split);
+        let full = simulate(
+            AcceleratorConfig::small_test(),
+            &SimRequest::with_split(full_w, full_split),
+        );
+        let pruned = simulate(
+            AcceleratorConfig::small_test(),
+            &SimRequest::with_split(pruned_w, pruned_split),
+        );
         assert!(pruned.cycles <= full.cycles);
         assert!(pruned.off_chip_bytes <= full.off_chip_bytes);
     }
 
     #[test]
     fn bigger_accelerator_is_not_slower() {
-        let (_, split, workload) = setup();
-        let small =
-            GcodAccelerator::new(AcceleratorConfig::small_test()).simulate_split(&workload, &split);
-        let big =
-            GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(&workload, &split);
+        let request = setup();
+        let small = simulate(AcceleratorConfig::small_test(), &request);
+        let big = simulate(AcceleratorConfig::vcu128(), &request);
         assert!(big.latency_ms <= small.latency_ms);
     }
 
     #[test]
     fn peak_bandwidth_requirement_is_positive() {
-        let (_, split, workload) = setup();
-        let report =
-            GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(&workload, &split);
+        let report = simulate(AcceleratorConfig::vcu128(), &setup());
         assert!(report.peak_bandwidth_gbps > 0.0);
     }
 
     #[test]
     fn energy_has_both_phases() {
-        let (_, split, workload) = setup();
-        let report =
-            GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(&workload, &split);
+        let report = simulate(AcceleratorConfig::vcu128(), &setup());
         assert!(report.energy.combination_total() > 0.0);
         assert!(report.energy.aggregation_total() > 0.0);
     }

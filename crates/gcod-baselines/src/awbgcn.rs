@@ -11,7 +11,7 @@
 //! bandwidth.
 
 use crate::{AggregationStyle, PlatformSpec};
-use gcod_accel::energy::EnergyModel;
+use gcod_platform::energy::EnergyModel;
 
 /// Peak MAC throughput: 4096 PEs at 330 MHz.
 const AWBGCN_PEAK_MACS: f64 = 4096.0 * 330.0e6;

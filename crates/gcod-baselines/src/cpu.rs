@@ -11,7 +11,7 @@
 //! reproduces the paper's DGL-CPU ≈ 14× PyG-CPU gap.
 
 use crate::{AggregationStyle, PlatformSpec};
-use gcod_accel::energy::EnergyModel;
+use gcod_platform::energy::EnergyModel;
 
 /// Peak MAC throughput of the 24-core Xeon E5-2680 v3 (AVX2 FMA).
 const XEON_PEAK_MACS: f64 = 24.0 * 2.5e9 * 8.0;

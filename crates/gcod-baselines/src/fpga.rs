@@ -10,7 +10,7 @@
 //! thousands.
 
 use crate::{AggregationStyle, PlatformSpec};
-use gcod_accel::energy::EnergyModel;
+use gcod_platform::energy::EnergyModel;
 
 fn deepburning(
     name: &str,

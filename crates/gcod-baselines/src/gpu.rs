@@ -9,7 +9,7 @@
 //! PyG-CPU sit around 25–50× for Cora-sized graphs.
 
 use crate::{AggregationStyle, PlatformSpec};
-use gcod_accel::energy::EnergyModel;
+use gcod_platform::energy::EnergyModel;
 
 /// Peak MAC throughput of the RTX 8000 (FP32 FMA on 4352 cores).
 const RTX8000_PEAK_MACS: f64 = 4352.0 * 1.35e9;

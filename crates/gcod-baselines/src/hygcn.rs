@@ -11,7 +11,7 @@
 //! the paper's average 7.8× speedup over HyGCN).
 
 use crate::{AggregationStyle, PlatformSpec};
-use gcod_accel::energy::EnergyModel;
+use gcod_platform::energy::EnergyModel;
 
 /// Peak MAC throughput: 32 SIMD16 cores + 8×128 systolic MACs at 1 GHz.
 const HYGCN_PEAK_MACS: f64 = (32.0 * 16.0 + 8.0 * 128.0) * 1.0e9;

@@ -17,7 +17,7 @@
 //!   aggregation buffer spills off chip for large graphs,
 //! * the Deepburning-GL FPGAs ([`fpga`]) are generic DSP rooflines.
 //!
-//! All models return the same [`gcod_accel::report::PerfReport`] as the GCoD
+//! All models return the same [`gcod_platform::report::PerfReport`] as the GCoD
 //! simulator, so the benchmark harness can compare them directly.
 //!
 //! # Example

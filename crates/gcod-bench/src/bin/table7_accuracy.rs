@@ -10,8 +10,9 @@ use gcod::Experiment;
 use gcod_bench::{print_table, DatasetCase};
 use gcod_core::compression::{evaluate_compression, CompressionMethod};
 use gcod_core::GcodConfig;
+use gcod_graph::QuantWidth;
 use gcod_nn::models::ModelKind;
-use gcod_nn::quant::quantized_forward;
+use gcod_nn::quant::QuantizedModel;
 
 fn main() {
     // Small replicas keep the (many) training runs fast while exercising the
@@ -67,8 +68,9 @@ fn main() {
             // GCoD itself (full pipeline) and its 8-bit evaluation.
             let result = experiment.train().expect("gcod pipeline");
             row.push(format!("{:.1}", result.gcod_accuracy * 100.0));
-            let int8_logits =
-                quantized_forward(&result.model, &result.graph).expect("quantized forward");
+            let int8_logits = QuantizedModel::from_model(&result.model, QuantWidth::I8)
+                .forward(&result.graph)
+                .expect("quantized forward");
             let int8_acc = gcod_nn::metrics::masked_accuracy(
                 &int8_logits,
                 result.graph.labels(),

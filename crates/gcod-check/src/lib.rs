@@ -50,6 +50,11 @@
 //! Run it as `cargo run -p gcod-check -- lint` (whole tree, crate-scoped
 //! lint applicability) or `cargo run -p gcod-check -- lint <files...>`
 //! (explicit files, every lint enabled — the mode the fixture tests use).
+//!
+//! `cargo run -p gcod-check -- surface` prints the design-size ledger (see
+//! [`surface`]): per crate, the non-test code lines and public items of its
+//! library sources. CI diffs it against the committed `SURFACE.txt`, so a
+//! PR that grows either column has to say so in its own diff.
 
 #![forbid(unsafe_code)]
 
@@ -728,11 +733,10 @@ pub fn lint_file(path: &Path, scope: LintScope) -> io::Result<Vec<Finding>> {
     Ok(lint_source(&path.display().to_string(), &source, scope))
 }
 
-/// Walks the workspace's library sources (`src/` at the root and under each
-/// `crates/*`), skipping `vendor/`, `target/`, and test fixtures, and lints
-/// each file under its crate-scoped [`LintScope`]. Findings come back
-/// sorted by path and line.
-pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
+/// The workspace's library sources (`src/` at the root and under each
+/// `crates/*`), skipping `vendor/`, `target/`, and test fixtures, sorted by
+/// path.
+fn library_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let root_src = root.join("src");
     if root_src.is_dir() {
@@ -740,21 +744,22 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
     }
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for crate_dir in crate_dirs {
-            let src = crate_dir.join("src");
+        for entry in fs::read_dir(&crates_dir)? {
+            let src = entry?.path().join("src");
             if src.is_dir() {
                 collect_rs(&src, &mut files)?;
             }
         }
     }
     files.sort();
+    Ok(files)
+}
+
+/// Lints every library source of the workspace under its crate-scoped
+/// [`LintScope`]. Findings come back sorted by path and line.
+pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
-    for file in &files {
+    for file in &library_sources(root)? {
         let scope = LintScope::for_path(file);
         let label = file
             .strip_prefix(root)
@@ -765,6 +770,63 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
         findings.extend(lint_source(&label, &source, scope));
     }
     Ok(findings)
+}
+
+/// Item keywords that make a `pub` line a public item of the ledger.
+const PUB_ITEM_KINDS: [&str; 9] = [
+    "fn", "const", "struct", "enum", "trait", "type", "mod", "use", "static",
+];
+
+/// `(code lines, public items)` of one source file, test code excluded:
+/// a code line is non-blank once comments and literals are stripped; a
+/// public item is a line opening with `pub <kind> ` for a kind in
+/// [`PUB_ITEM_KINDS`] (`pub(crate)` and friends are not public).
+fn surface_of(source: &str) -> (usize, usize) {
+    let stripped = strip_comments_and_strings(source);
+    let regions = test_regions(&stripped);
+    let (mut lines, mut items) = (0, 0);
+    for (idx, line) in stripped.lines().enumerate() {
+        let code = line.trim();
+        if code.is_empty() || in_test(&regions, idx + 1) {
+            continue;
+        }
+        lines += 1;
+        let is_item = code.strip_prefix("pub ").is_some_and(|rest| {
+            PUB_ITEM_KINDS
+                .iter()
+                .any(|kind| rest.strip_prefix(kind).is_some_and(|r| r.starts_with(' ')))
+        });
+        items += usize::from(is_item);
+    }
+    (lines, items)
+}
+
+/// The design-size ledger: one row per crate (the root `src/` counts as
+/// `gcod`) with the non-test code lines and public items of its library
+/// sources, plus a total. Deterministic, so the committed `SURFACE.txt` can
+/// be compared byte for byte.
+pub fn surface(root: &Path) -> io::Result<String> {
+    let mut crates = std::collections::BTreeMap::<String, (usize, usize)>::new();
+    for file in &library_sources(root)? {
+        let relative = file.strip_prefix(root).unwrap_or(file);
+        let name = crate_of(relative).unwrap_or_else(|| "gcod".to_string());
+        let (lines, items) = surface_of(&fs::read_to_string(file)?);
+        let row = crates.entry(name).or_default();
+        row.0 += lines;
+        row.1 += items;
+    }
+    let total = crates
+        .values()
+        .fold((0, 0), |sum, row| (sum.0 + row.0, sum.1 + row.1));
+    let mut report = format!("{:<16}{:>12}{:>12}\n", "crate", "code_lines", "pub_items");
+    for (name, (lines, items)) in crates
+        .iter()
+        .map(|(n, row)| (n.as_str(), row))
+        .chain([("total", &total)])
+    {
+        report.push_str(&format!("{name:<16}{lines:>12}{items:>12}\n"));
+    }
+    Ok(report)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -887,5 +949,17 @@ mod tests {
             2
         ));
         assert!(!safety_comment_nearby(&["let a = 1;", "unsafe { x() }"], 2));
+    }
+
+    #[test]
+    fn surface_counts_code_lines_and_public_items_outside_tests() {
+        let src = [
+            "//! docs\n\npub fn a() {}\npub(crate) fn b() {}\npub const fn c() {}\n",
+            "    pub struct S;\n// pub fn commented() {}\nlet s = \"pub fn quoted\";\n",
+            "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+        ]
+        .concat();
+        // a, b, c, S and the `let` are code; a, c and S are public items.
+        assert_eq!(surface_of(&src), (5, 3));
     }
 }

@@ -1,14 +1,16 @@
-//! CLI for the workspace lint pass.
+//! CLI for the workspace lint pass and the design-size ledger.
 //!
 //! - `cargo run -p gcod-check -- lint` — lint the whole workspace tree with
 //!   crate-scoped lint applicability; exit 0 when clean, 1 otherwise.
 //! - `cargo run -p gcod-check -- lint <files...>` — lint explicit files with
 //!   every lint enabled (the strict scope fixtures are tested under).
+//! - `cargo run -p gcod-check -- surface` — print per-crate code-line and
+//!   public-item counts (the committed `SURFACE.txt`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use gcod_check::{lint_file, lint_tree, LintScope};
+use gcod_check::{lint_file, lint_tree, surface, LintScope};
 
 fn workspace_root() -> PathBuf {
     // crates/gcod-check → workspace root is two levels up.
@@ -55,8 +57,18 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        Some("surface") => match surface(&workspace_root()) {
+            Ok(report) => {
+                print!("{report}");
+                ExitCode::SUCCESS
+            }
+            Err(err) => {
+                eprintln!("gcod-check: tree walk failed: {err}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
-            eprintln!("usage: gcod-check lint [files...]");
+            eprintln!("usage: gcod-check lint [files...] | surface");
             ExitCode::FAILURE
         }
     }

@@ -9,9 +9,9 @@
 //! measured end-to-end.
 
 use crate::Result;
-use gcod_graph::{CooMatrix, Graph};
+use gcod_graph::{CooMatrix, Graph, QuantWidth};
 use gcod_nn::models::{GnnModel, ModelConfig, ModelKind};
-use gcod_nn::quant::quantized_forward;
+use gcod_nn::quant::QuantizedModel;
 use gcod_nn::train::{TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,49 +95,24 @@ pub fn evaluate_compression(
     })
     .fit(&mut model, &train_graph)?;
 
-    let (test_accuracy, quantized) = match method {
-        CompressionMethod::Qat => {
-            let logits = quantized_forward(&model, &train_graph)?;
-            (
-                gcod_nn::metrics::masked_accuracy(
-                    &logits,
-                    train_graph.labels(),
-                    train_graph.test_mask(),
-                ),
-                true,
-            )
-        }
+    // One integer model serves both quantized arms.
+    let int8_logits = || QuantizedModel::from_model(&model, QuantWidth::I8).forward(&train_graph);
+    let (logits, quantized) = match method {
+        CompressionMethod::Qat => (int8_logits()?, true),
         CompressionMethod::DegreeQuant => {
             // Full-precision logits for the protected hubs, INT8 elsewhere.
             let fp32 = model.forward(&train_graph)?;
-            let int8 = quantized_forward(&model, &train_graph)?;
+            let int8 = int8_logits()?;
             let degrees = train_graph.degrees();
             let mut sorted = degrees.clone();
             sorted.sort_unstable_by(|a, b| b.cmp(a));
             let cutoff = sorted[(sorted.len() / 10).min(sorted.len().saturating_sub(1))];
-            let predictions_mix = mix_logits(&fp32, &int8, &degrees, cutoff);
-            (
-                gcod_nn::metrics::masked_accuracy(
-                    &predictions_mix,
-                    train_graph.labels(),
-                    train_graph.test_mask(),
-                ),
-                true,
-            )
+            (mix_logits(&fp32, &int8, &degrees, cutoff), true)
         }
-        _ => {
-            let logits = model.forward(&train_graph)?;
-            (
-                gcod_nn::metrics::masked_accuracy(
-                    &logits,
-                    train_graph.labels(),
-                    train_graph.test_mask(),
-                ),
-                false,
-            )
-        }
+        _ => (model.forward(&train_graph)?, false),
     };
-
+    let test_accuracy =
+        gcod_nn::metrics::masked_accuracy(&logits, train_graph.labels(), train_graph.test_mask());
     Ok(CompressionOutcome {
         method: method.name().to_string(),
         test_accuracy,

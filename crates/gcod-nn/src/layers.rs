@@ -47,18 +47,10 @@ impl Activation {
         }
     }
 
-    /// Elementwise gradient mask evaluated at the pre-activation input.
-    pub fn grad_mask(self, pre_activation: &Tensor) -> Tensor {
-        match self {
-            Activation::Relu => pre_activation.relu_mask(),
-            Activation::Linear => Tensor::full(pre_activation.rows(), pre_activation.cols(), 1.0),
-        }
-    }
-
     /// Backward pass of the activation in one fused elementwise sweep:
     /// `grad_output ⊙ activation'(pre_activation)` without materialising the
-    /// mask tensor. Bit-identical to `grad_output.hadamard(&grad_mask(..))`
-    /// — the per-element expression is the same `g * {1.0|0.0}` product.
+    /// 0/1 mask tensor (the per-element expression is the same
+    /// `g * {1.0|0.0}` product).
     ///
     /// # Errors
     ///
@@ -221,20 +213,19 @@ impl DenseLayer {
     }
 }
 
-/// Cached intermediate values of one layer's forward pass, needed by the
-/// backward pass.
+/// The two intermediates of one layer step, handed back by move from
+/// [`graph_conv_forward`]; exactly what [`graph_conv_backward`] reads.
 ///
-/// The layer *input* is deliberately not cached: the backward pass never
-/// reads it (gradients flow through `aggregated` and `pre_activation`), and
-/// dropping it saves one full activation clone per layer per epoch.
+/// Neither the layer *input* nor its post-activation *output* is cached: the
+/// backward pass never reads them (gradients flow through `aggregated` and
+/// `pre_activation`), so the output travels on to the next layer instead of
+/// being cloned here.
 #[derive(Debug, Clone)]
 pub struct LayerCache {
     /// Aggregated input `P · H_l`.
     pub aggregated: Tensor,
     /// Pre-activation output `P · H_l · W + b`.
     pub pre_activation: Tensor,
-    /// Post-activation output.
-    pub output: Tensor,
 }
 
 /// Gradients of one layer.
@@ -248,46 +239,23 @@ pub struct LayerGrads {
     pub input: Tensor,
 }
 
-/// Runs a graph-convolution layer forward: `activation(P · x · W + b)`,
-/// using the reference [`NaiveCsr`] SpMM kernel.
+/// The one f32 layer step, up to the non-linearity: aggregation
+/// (`kernel.spmm`), combination (`· W` on `workers` lanes, 0 = the global
+/// pool's count) and bias broadcast, i.e. `P · x · W + b`.
+///
+/// Every f32 forward path is this function plus its own way of applying
+/// `layer.activation`: lean inference takes `pre_activation` and activates
+/// it in place, the training path keeps both intermediates for
+/// [`graph_conv_backward`], and [`shard_layer_forward`] runs it over a
+/// shard's sliced propagation rows. Local, cached and sharded results are
+/// therefore bit-identical by construction; and because every
+/// [`SpmmKernel`] and worker count is bit-identical to [`NaiveCsr`] at one
+/// lane, `kernel` and `workers` change wall-clock only.
 ///
 /// # Errors
 ///
 /// Returns [`crate::NnError::ShapeMismatch`] when the dimensions are inconsistent.
 pub fn graph_conv_forward(
-    layer: &DenseLayer,
-    propagation: &CsrMatrix,
-    x: &Tensor,
-) -> Result<LayerCache> {
-    graph_conv_forward_with(layer, propagation, x, &NaiveCsr)
-}
-
-/// [`graph_conv_forward`] with an explicit aggregation kernel.
-///
-/// Every [`SpmmKernel`] is bit-for-bit identical to [`NaiveCsr`], so the
-/// kernel choice changes wall-clock only — training curves, logits and the
-/// simulated-perf reports downstream are untouched.
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::ShapeMismatch`] when the dimensions are inconsistent.
-pub fn graph_conv_forward_with(
-    layer: &DenseLayer,
-    propagation: &CsrMatrix,
-    x: &Tensor,
-    kernel: &dyn SpmmKernel,
-) -> Result<LayerCache> {
-    graph_conv_forward_workers(layer, propagation, x, kernel, 0)
-}
-
-/// [`graph_conv_forward_with`] with an explicit worker count for the dense
-/// combination (`· W`): 0 selects the global pool's lane count. Worker count
-/// never changes the numerics, only wall-clock.
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::ShapeMismatch`] when the dimensions are inconsistent.
-pub fn graph_conv_forward_workers(
     layer: &DenseLayer,
     propagation: &CsrMatrix,
     x: &Tensor,
@@ -297,15 +265,22 @@ pub fn graph_conv_forward_workers(
     let aggregated = kernel.spmm(propagation, x)?;
     let mut pre_activation = aggregated.matmul_with(&layer.weight, workers)?;
     pre_activation.add_row_broadcast_in_place(&layer.bias)?;
-    let output = layer.activation.apply(&pre_activation);
     Ok(LayerCache {
         aggregated,
         pre_activation,
-        output,
     })
 }
 
-/// The quantized counterpart of [`graph_conv_forward_workers`]: one
+/// Whether layer `index` adds its input back onto its output — the residual
+/// rule, stated once for every forward and backward path: the model asks for
+/// residuals, the layer is not the first, and it preserves the activation
+/// width (the row counts always agree, so `output.shape() == input.shape()`
+/// reduces to the widths).
+pub(crate) fn residual_applies(residual: bool, index: usize, d_in: usize, d_out: usize) -> bool {
+    residual && index > 0 && d_in == d_out
+}
+
+/// The quantized counterpart of [`graph_conv_forward`] plus activation: one
 /// graph-convolution layer computed on integer payloads.
 ///
 /// Dataflow (one quantization per operator input, one dequantization per
@@ -354,19 +329,18 @@ pub fn graph_conv_forward_quant(
 /// result is the next activation of the shard's **owned** rows
 /// (`|owned| × d_out`).
 ///
-/// Bit-identity contract: because the propagation rows are sliced (not
-/// renormalised) from the full-graph matrix, the column remapping is
-/// monotone in global node id (so each CSR row accumulates in exactly the
-/// full-graph order), and the op sequence below — SpMM, dense combination,
-/// bias broadcast, activation, residual — mirrors `GnnModel::forward`
-/// term for term, the owned rows equal the corresponding rows of the
+/// Bit-identity contract: the propagation rows are sliced (not
+/// renormalised) from the full-graph matrix and the column remapping is
+/// monotone in global node id, so each CSR row accumulates in exactly the
+/// full-graph order; the step itself is the same [`graph_conv_forward`] the
+/// single-process paths run (on [`NaiveCsr`], which every kernel equals bit
+/// for bit). The owned rows therefore equal the corresponding rows of the
 /// single-process forward bit for bit, at every worker count.
 ///
-/// `apply_residual` is `config.residual && layer_index > 0`; like the
-/// single-process path, the residual is added only when the layer preserves
-/// the width (`d_out == d_in`), reading the previous activation of the owned
-/// rows out of `h_local` via `owned_pos` (positions of the owned nodes
-/// within the local ordering).
+/// `residual` is the model's `ModelConfig::residual` and `layer_index` this
+/// layer's position; where the residual rule applies, the previous
+/// activation of the owned rows is read out of `h_local` via `owned_pos`
+/// (positions of the owned nodes within the local ordering).
 ///
 /// # Errors
 ///
@@ -377,8 +351,8 @@ pub fn shard_layer_forward(
     prop: &CsrMatrix,
     h_local: &Tensor,
     owned_pos: &[u32],
-    apply_residual: bool,
-    workers: usize,
+    residual: bool,
+    layer_index: usize,
 ) -> Result<Tensor> {
     if prop.rows() != owned_pos.len() {
         return Err(crate::NnError::ShapeMismatch {
@@ -389,75 +363,29 @@ pub fn shard_layer_forward(
             ),
         });
     }
-    let aggregated = NaiveCsr.spmm(prop, h_local)?;
-    let mut next = aggregated.matmul_with(&layer.weight, workers)?;
-    next.add_row_broadcast_in_place(&layer.bias)?;
+    let mut next = graph_conv_forward(layer, prop, h_local, &NaiveCsr, 0)?.pre_activation;
     layer.activation.apply_in_place(&mut next);
-    // Residual connection between same-width hidden layers: the full-graph
-    // condition `next.shape() == h.shape()` compares (N, d_out) with
-    // (N, d_in), i.e. reduces to the widths matching.
-    if apply_residual && next.cols() == h_local.cols() {
-        let mut gathered_prev = Tensor::zeros(owned_pos.len(), h_local.cols());
-        for (row, &pos) in owned_pos.iter().enumerate() {
-            let pos = pos as usize;
-            if pos >= h_local.rows() {
-                return Err(crate::NnError::ShapeMismatch {
-                    context: format!(
-                        "shard-layer: owned position {pos} outside {} local rows",
-                        h_local.rows()
-                    ),
-                });
-            }
-            gathered_prev.row_mut(row).copy_from_slice(h_local.row(pos));
-        }
-        next.add_assign(&gathered_prev)?;
+    if residual_applies(residual, layer_index, h_local.cols(), next.cols()) {
+        let owned: Vec<usize> = owned_pos.iter().map(|&pos| pos as usize).collect();
+        next.add_assign(&h_local.gather_rows(&owned)?)?;
     }
     Ok(next)
 }
 
-/// Backward pass of [`graph_conv_forward`], using the reference
-/// [`NaiveCsr`] SpMM kernel.
+/// Backward pass of one layer, from the intermediates
+/// [`graph_conv_forward`] handed back.
 ///
-/// `grad_output` is the gradient w.r.t. the layer output. The propagation
-/// matrix is treated as a constant (the GCoD graph-tuning step that *does*
-/// differentiate w.r.t. the adjacency lives in `gcod-core::polarize`).
+/// `grad_output` is the gradient w.r.t. the layer's post-activation output.
+/// The propagation matrix is treated as a constant (the GCoD graph-tuning
+/// step that *does* differentiate w.r.t. the adjacency lives in
+/// `gcod-core::polarize`). `kernel` computes the `Pᵀ · dX` term and
+/// `workers` bounds the dense matmuls (0 = the global pool's lane count);
+/// like the forward step, neither changes the numerics.
 ///
 /// # Errors
 ///
 /// Returns [`crate::NnError::ShapeMismatch`] on inconsistent shapes.
 pub fn graph_conv_backward(
-    layer: &DenseLayer,
-    propagation: &CsrMatrix,
-    cache: &LayerCache,
-    grad_output: &Tensor,
-) -> Result<LayerGrads> {
-    graph_conv_backward_with(layer, propagation, cache, grad_output, &NaiveCsr)
-}
-
-/// [`graph_conv_backward`] with an explicit aggregation kernel (used for the
-/// `Pᵀ · dX` term).
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::ShapeMismatch`] on inconsistent shapes.
-pub fn graph_conv_backward_with(
-    layer: &DenseLayer,
-    propagation: &CsrMatrix,
-    cache: &LayerCache,
-    grad_output: &Tensor,
-    kernel: &dyn SpmmKernel,
-) -> Result<LayerGrads> {
-    graph_conv_backward_workers(layer, propagation, cache, grad_output, kernel, 0)
-}
-
-/// [`graph_conv_backward_with`] with an explicit worker count for the dense
-/// matmuls and transposes (0 = the global pool's lane count). Worker count
-/// never changes the numerics, only wall-clock.
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::ShapeMismatch`] on inconsistent shapes.
-pub fn graph_conv_backward_workers(
     layer: &DenseLayer,
     propagation: &CsrMatrix,
     cache: &LayerCache,
@@ -503,13 +431,24 @@ mod tests {
             .unwrap()
     }
 
+    /// `activation(P · x · W + b)` on the reference kernel.
+    fn layer_output(layer: &DenseLayer, prop: &CsrMatrix, x: &Tensor) -> Tensor {
+        let cache = graph_conv_forward(layer, prop, x, &NaiveCsr, 0).unwrap();
+        layer.activation.apply(&cache.pre_activation)
+    }
+
     #[test]
     fn activations() {
         let x = Tensor::from_vec(1, 3, vec![-1.0, 0.5, 2.0]).unwrap();
         assert_eq!(Activation::Relu.apply(&x).data(), &[0.0, 0.5, 2.0]);
         assert_eq!(Activation::Linear.apply(&x), x);
-        assert_eq!(Activation::Relu.grad_mask(&x).data(), &[0.0, 1.0, 1.0]);
-        assert_eq!(Activation::Linear.grad_mask(&x).data(), &[1.0, 1.0, 1.0]);
+        let grad = Tensor::full(1, 3, 2.0);
+        let relu_grad = Activation::Relu.apply_grad(&grad, &x).unwrap();
+        assert_eq!(relu_grad.data(), &[0.0, 2.0, 2.0]);
+        assert_eq!(Activation::Linear.apply_grad(&grad, &x).unwrap(), grad);
+        for activation in [Activation::Relu, Activation::Linear] {
+            assert!(activation.apply_grad(&Tensor::zeros(1, 2), &x).is_err());
+        }
     }
 
     #[test]
@@ -552,9 +491,9 @@ mod tests {
         let layer = DenseLayer::new(g.feature_dim(), 5, Activation::Relu, 0);
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), g.feature_dim(), g.features().to_vec()).unwrap();
-        let cache = graph_conv_forward(&layer, &prop, &x).unwrap();
-        assert_eq!(cache.output.shape(), (g.num_nodes(), 5));
-        assert!(cache.output.data().iter().all(|&v| v >= 0.0), "ReLU output");
+        let output = layer_output(&layer, &prop, &x);
+        assert_eq!(output.shape(), (g.num_nodes(), 5));
+        assert!(output.data().iter().all(|&v| v >= 0.0), "ReLU output");
     }
 
     #[test]
@@ -567,17 +506,17 @@ mod tests {
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), g.feature_dim(), g.features().to_vec()).unwrap();
 
-        let cache = graph_conv_forward(&layer, &prop, &x).unwrap();
-        let grad_out = Tensor::full(cache.output.rows(), cache.output.cols(), 1.0);
-        let grads = graph_conv_backward(&layer, &prop, &cache, &grad_out).unwrap();
+        let cache = graph_conv_forward(&layer, &prop, &x, &NaiveCsr, 0).unwrap();
+        let grad_out = Tensor::full(g.num_nodes(), 3, 1.0);
+        let grads = graph_conv_backward(&layer, &prop, &cache, &grad_out, &NaiveCsr, 0).unwrap();
 
         let eps = 1e-3f32;
         for &(r, c) in &[(0usize, 0usize), (2, 1), (5, 2)] {
             let orig = layer.weight.get(r, c);
             layer.weight.set(r, c, orig + eps);
-            let plus = graph_conv_forward(&layer, &prop, &x).unwrap().output.sum();
+            let plus = layer_output(&layer, &prop, &x).sum();
             layer.weight.set(r, c, orig - eps);
-            let minus = graph_conv_forward(&layer, &prop, &x).unwrap().output.sum();
+            let minus = layer_output(&layer, &prop, &x).sum();
             layer.weight.set(r, c, orig);
             let numeric = (plus - minus) / (2.0 * eps);
             let analytic = grads.weight.get(r, c);
@@ -594,15 +533,21 @@ mod tests {
         let layer = DenseLayer::new(g.feature_dim(), 4, Activation::Relu, 3);
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), g.feature_dim(), g.features().to_vec()).unwrap();
-        let cache = graph_conv_forward(&layer, &prop, &x).unwrap();
-        let grad_out = Tensor::full(cache.output.rows(), cache.output.cols(), 0.5);
-        let grads = graph_conv_backward(&layer, &prop, &cache, &grad_out).unwrap();
+        let cache = graph_conv_forward(&layer, &prop, &x, &NaiveCsr, 0).unwrap();
+        let grad_out = Tensor::full(g.num_nodes(), 4, 0.5);
+        let grads = graph_conv_backward(&layer, &prop, &cache, &grad_out, &NaiveCsr, 0).unwrap();
         for kind in crate::kernels::KernelKind::all() {
             let kernel = kind.build();
-            let cache_k = graph_conv_forward_with(&layer, &prop, &x, kernel.as_ref()).unwrap();
-            assert_eq!(cache_k.output, cache.output, "{}", kernel.name());
+            let cache_k = graph_conv_forward(&layer, &prop, &x, kernel.as_ref(), 0).unwrap();
+            assert_eq!(cache_k.aggregated, cache.aggregated, "{}", kernel.name());
+            assert_eq!(
+                cache_k.pre_activation,
+                cache.pre_activation,
+                "{}",
+                kernel.name()
+            );
             let grads_k =
-                graph_conv_backward_with(&layer, &prop, &cache_k, &grad_out, kernel.as_ref())
+                graph_conv_backward(&layer, &prop, &cache_k, &grad_out, kernel.as_ref(), 0)
                     .unwrap();
             assert_eq!(grads_k.weight, grads.weight, "{}", kernel.name());
             assert_eq!(grads_k.bias, grads.bias, "{}", kernel.name());
@@ -619,22 +564,13 @@ mod tests {
         let layer = DenseLayer::new(g.feature_dim(), 5, Activation::Relu, 11);
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), g.feature_dim(), g.features().to_vec()).unwrap();
-        let full = graph_conv_forward(&layer, &prop, &x).unwrap().output;
+        let full = layer_output(&layer, &prop, &x);
 
         let owned: Vec<usize> = (0..g.num_nodes()).step_by(2).collect();
-        let mut indptr = vec![0u64];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for &node in &owned {
-            let (cols, vals) = prop.row(node);
-            indices.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            indptr.push(indices.len() as u64);
-        }
-        let sliced =
-            CsrMatrix::from_parts(owned.len(), prop.cols(), indptr, indices, values).unwrap();
+        let every_node: Vec<usize> = (0..g.num_nodes()).collect();
+        let sliced = prop.submatrix(&owned, &every_node);
         let owned_pos: Vec<u32> = owned.iter().map(|&n| n as u32).collect();
-        let sharded = shard_layer_forward(&layer, &sliced, &x, &owned_pos, false, 0).unwrap();
+        let sharded = shard_layer_forward(&layer, &sliced, &x, &owned_pos, false, 1).unwrap();
         for (row, &node) in owned.iter().enumerate() {
             assert_eq!(sharded.row(row), full.row(node), "node {node}");
         }
@@ -649,17 +585,24 @@ mod tests {
         let layer = DenseLayer::new(dim, dim, Activation::Relu, 3);
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), dim, g.features().to_vec()).unwrap();
-        let mut full = graph_conv_forward(&layer, &prop, &x).unwrap().output;
+        let plain = layer_output(&layer, &prop, &x);
+        let mut full = plain.clone();
         full.add_assign(&x).unwrap();
 
         let owned_pos: Vec<u32> = (0..g.num_nodes() as u32).collect();
-        let sharded = shard_layer_forward(&layer, &prop, &x, &owned_pos, true, 0).unwrap();
+        let sharded = shard_layer_forward(&layer, &prop, &x, &owned_pos, true, 1).unwrap();
         assert_eq!(sharded, full);
+        // The first layer never adds a residual, whatever its widths.
+        let first = shard_layer_forward(&layer, &prop, &x, &owned_pos, true, 0).unwrap();
+        assert_eq!(first, plain);
         // Width-changing layers skip the residual even when requested.
         let narrowing = DenseLayer::new(dim, 3, Activation::Relu, 3);
-        let no_res = shard_layer_forward(&narrowing, &prop, &x, &owned_pos, true, 0).unwrap();
-        let plain = graph_conv_forward(&narrowing, &prop, &x).unwrap().output;
-        assert_eq!(no_res, plain);
+        let no_res = shard_layer_forward(&narrowing, &prop, &x, &owned_pos, true, 1).unwrap();
+        assert_eq!(no_res, layer_output(&narrowing, &prop, &x));
+        // An owned position outside the local rows is a shape error.
+        let mut bad_pos = owned_pos.clone();
+        bad_pos[0] = g.num_nodes() as u32;
+        assert!(shard_layer_forward(&layer, &prop, &x, &bad_pos, true, 1).is_err());
     }
 
     #[test]
@@ -680,7 +623,7 @@ mod tests {
         let layer = DenseLayer::new(g.feature_dim(), 4, Activation::Relu, 5);
         let prop = Propagation::SymmetricNormalized.matrix(&g, &Tensor::zeros(1, 1));
         let x = Tensor::from_vec(g.num_nodes(), g.feature_dim(), g.features().to_vec()).unwrap();
-        let f32_out = graph_conv_forward(&layer, &prop, &x).unwrap().output;
+        let f32_out = layer_output(&layer, &prop, &x);
         let q_layer = QuantizedLayer {
             weight: QuantizedTensor::quantize(&layer.weight, QuantWidth::I16),
             bias: layer.bias.clone(),

@@ -14,7 +14,13 @@
 //!   per run via [`kernels::KernelKind`] (see the [`kernels`] module docs
 //!   for how selection flows through training and the `gcod` facade),
 //! * Glorot initialisation ([`init`]),
-//! * the model zoo ([`models`]) covering Table IV of the paper,
+//! * the per-layer template `H' = σ(P·H·W + b)` ([`layers`]), spelled once
+//!   per numeric domain — [`layers::graph_conv_forward`] in f32,
+//!   [`layers::graph_conv_forward_quant`] on integers — and run by every
+//!   forward path: lean inference, the cached training pass, quantized
+//!   inference and the shard workers ([`layers::shard_layer_forward`]),
+//! * the model zoo ([`models`]) covering Table IV of the paper, one layer
+//!   loop shared by all of those paths,
 //! * manual-gradient training for the two-layer GCN (the model the GCoD
 //!   graph-tuning loss is formulated on), with an [`optim::Adam`] optimiser
 //!   and cross-entropy loss,

@@ -16,7 +16,7 @@
 
 use crate::kernels::KernelKind;
 use crate::layers::{
-    graph_conv_backward_workers, graph_conv_forward_workers, Activation, DenseLayer, LayerCache,
+    graph_conv_backward, graph_conv_forward, residual_applies, Activation, DenseLayer, LayerCache,
     Propagation,
 };
 use crate::quant::{Precision, QuantizedModel};
@@ -364,22 +364,6 @@ impl GnnModel {
         self.layers.iter().map(DenseLayer::num_params).sum()
     }
 
-    /// Checks that `graph` matches the model configuration.
-    fn check_graph(&self, graph: &Graph) -> Result<()> {
-        check_graph_for(&self.config, graph)
-    }
-
-    /// The graph's node features as the input activation matrix. Shared
-    /// with the quantized forward path ([`QuantizedModel`]).
-    pub(crate) fn input_features(graph: &Graph) -> Tensor {
-        Tensor::from_vec(
-            graph.num_nodes(),
-            graph.feature_dim(),
-            graph.features().to_vec(),
-        )
-        .expect("graph guarantees feature shape")
-    }
-
     /// Runs inference and returns the logits (`N × classes`).
     ///
     /// This is the lean inference path: activations ping-pong through one
@@ -398,36 +382,20 @@ impl GnnModel {
         if let Some(width) = self.precision.quant_width() {
             return QuantizedModel::from_model(self, width).forward(graph);
         }
-        self.check_graph(graph)?;
-        let propagation_rule = self.config.propagation();
         let kernel = self.kernel.build_with_workers(self.workers);
-        let mut h = Self::input_features(graph);
-        // Feature-independent propagation matrices are built once and shared.
-        let shared = if propagation_rule.is_feature_dependent() {
-            None
-        } else {
-            Some(propagation_rule.matrix(graph, &h))
-        };
-        for (i, layer) in self.layers.iter().enumerate() {
-            let rebuilt;
-            let propagation = match &shared {
-                Some(p) => p,
-                None => {
-                    rebuilt = propagation_rule.matrix(graph, &h);
-                    &rebuilt
-                }
-            };
-            let aggregated = kernel.spmm(propagation, &h)?;
-            let mut next = aggregated.matmul_with(&layer.weight, self.workers)?;
-            next.add_row_broadcast_in_place(&layer.bias)?;
-            layer.activation.apply_in_place(&mut next);
-            // Residual connection between same-width hidden layers.
-            if self.config.residual && i > 0 && next.shape() == h.shape() {
-                next.add_assign(&h)?;
-            }
-            h = next;
-        }
-        Ok(h)
+        forward_layers(
+            &self.config,
+            graph,
+            &self.layers,
+            |propagation| propagation,
+            |layer, propagation, h| {
+                let mut next =
+                    graph_conv_forward(layer, propagation, h, kernel.as_ref(), self.workers)?
+                        .pre_activation;
+                layer.activation.apply_in_place(&mut next);
+                Ok(next)
+            },
+        )
     }
 
     /// Batched inference for a stack of node queries: one fused forward pass
@@ -454,58 +422,35 @@ impl GnnModel {
     }
 
     /// Runs inference keeping the per-layer caches needed for the backward
-    /// pass.
-    ///
-    /// Each layer reads its input straight out of the previous layer's
-    /// cached output — no per-layer activation clones survive from the
-    /// pre-pool implementation (which cloned every layer output twice and
-    /// the input once more into the cache).
+    /// pass: the same layer loop and layer step as [`GnnModel::forward`],
+    /// except that each step's intermediates are kept instead of dropped.
+    /// Always f32, whatever the inference precision.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ModelGraphMismatch`] when the graph does not match
     /// the configuration.
     pub fn forward_cached(&self, graph: &Graph) -> Result<ForwardCache> {
-        self.check_graph(graph)?;
-        let propagation_rule = self.config.propagation();
-        let features = Self::input_features(graph);
-        let mut caches: Vec<LayerCache> = Vec::with_capacity(self.layers.len());
-        let mut propagations = Vec::with_capacity(self.layers.len());
         let kernel = self.kernel.build_with_workers(self.workers);
-        // Feature-independent propagation matrices are built once and shared.
-        let shared = if propagation_rule.is_feature_dependent() {
-            None
-        } else {
-            Some(Arc::new(propagation_rule.matrix(graph, &features)))
-        };
-        for (i, layer) in self.layers.iter().enumerate() {
-            let input = caches.last().map_or(&features, |c| &c.output);
-            let propagation = match &shared {
-                Some(p) => Arc::clone(p),
-                None => Arc::new(propagation_rule.matrix(graph, input)),
-            };
-            let mut cache = graph_conv_forward_workers(
-                layer,
-                &propagation,
-                input,
-                kernel.as_ref(),
-                self.workers,
-            )?;
-            // Residual connection between same-width hidden layers.
-            if self.config.residual && i > 0 && cache.output.shape() == input.shape() {
-                cache.output.add_assign(input)?;
-            }
-            caches.push(cache);
-            propagations.push(propagation);
-        }
-        let logits = caches
-            .last()
-            .expect("configs validate num_layers >= 1")
-            .output
-            .clone();
+        let mut layers = Vec::with_capacity(self.layers.len());
+        let mut propagations = Vec::with_capacity(self.layers.len());
+        let logits = forward_layers(
+            &self.config,
+            graph,
+            &self.layers,
+            Arc::new,
+            |layer, propagation, h| {
+                let cache =
+                    graph_conv_forward(layer, propagation, h, kernel.as_ref(), self.workers)?;
+                let output = layer.activation.apply(&cache.pre_activation);
+                layers.push(cache);
+                propagations.push(Arc::clone(propagation));
+                Ok(output)
+            },
+        )?;
         Ok(ForwardCache {
+            layers,
             logits,
-            layers: caches,
             propagations,
         })
     }
@@ -527,7 +472,7 @@ impl GnnModel {
         let mut grad = grad_logits.clone();
         let kernel = self.kernel.build_with_workers(self.workers);
         for i in (0..self.layers.len()).rev() {
-            let grads = graph_conv_backward_workers(
+            let grads = graph_conv_backward(
                 &self.layers[i],
                 &cache.propagations[i],
                 &cache.layers[i],
@@ -539,7 +484,7 @@ impl GnnModel {
             bias_grads[i] = grads.bias;
             let mut next_grad = grads.input;
             // Residual connections add the output gradient straight through.
-            if self.config.residual && i > 0 && next_grad.shape() == grad.shape() {
+            if residual_applies(self.config.residual, i, next_grad.cols(), grad.cols()) {
                 next_grad = next_grad.add(&grad)?;
             }
             grad = next_grad;
@@ -569,9 +514,50 @@ impl GnnModel {
     }
 }
 
-/// Checks that `graph` matches a model configuration. Shared between the
-/// f32 [`GnnModel`] and the quantized [`QuantizedModel`] forward paths.
-pub(crate) fn check_graph_for(config: &ModelConfig, graph: &Graph) -> Result<()> {
+/// The one layer loop behind every full-graph forward pass — lean f32,
+/// cached f32 and quantized alike. It owns what the three share: the
+/// model/graph check, the input activations, the propagation schedule
+/// (feature-independent rules `prepare` one matrix up front and share it
+/// across layers; attention re-prepares from the current activations every
+/// layer) and the residual rule. `prepare` turns the f32 propagation matrix
+/// into whatever form `step` consumes; `step` maps one layer's input
+/// activations to its post-activation output.
+pub(crate) fn forward_layers<L, P>(
+    config: &ModelConfig,
+    graph: &Graph,
+    layers: &[L],
+    prepare: impl Fn(CsrMatrix) -> P,
+    mut step: impl FnMut(&L, &P, &Tensor) -> Result<Tensor>,
+) -> Result<Tensor> {
+    check_graph_for(config, graph)?;
+    let rule = config.propagation();
+    let mut h = Tensor::from_vec(
+        graph.num_nodes(),
+        graph.feature_dim(),
+        graph.features().to_vec(),
+    )
+    .expect("graph guarantees feature shape");
+    let shared = (!rule.is_feature_dependent()).then(|| prepare(rule.matrix(graph, &h)));
+    for (i, layer) in layers.iter().enumerate() {
+        let rebuilt;
+        let propagation = match &shared {
+            Some(p) => p,
+            None => {
+                rebuilt = prepare(rule.matrix(graph, &h));
+                &rebuilt
+            }
+        };
+        let mut next = step(layer, propagation, &h)?;
+        if residual_applies(config.residual, i, h.cols(), next.cols()) {
+            next.add_assign(&h)?;
+        }
+        h = next;
+    }
+    Ok(h)
+}
+
+/// Checks that `graph` matches a model configuration.
+fn check_graph_for(config: &ModelConfig, graph: &Graph) -> Result<()> {
     if graph.feature_dim() != config.input_dim {
         return Err(NnError::ModelGraphMismatch {
             context: format!(
@@ -725,6 +711,52 @@ mod tests {
             let lean = model.forward(&g).unwrap();
             let cached = model.forward_cached(&g).unwrap().logits;
             assert_eq!(lean, cached, "{kind:?}: lean forward must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn two_way_sharded_residual_forward_matches_forward_for_all_shared_kinds() {
+        // Every feature-independent architecture, with residuals on and a
+        // same-width hidden layer so the rule actually fires: each layer runs
+        // as two row shards (even / odd nodes, every node local) through
+        // `shard_layer_forward`, the owned rows are scattered back, and the
+        // reassembled logits must equal `forward` bit for bit.
+        let g = graph();
+        let n = g.num_nodes();
+        let every_node: Vec<usize> = (0..n).collect();
+        let shards: [Vec<usize>; 2] = [(0..n).step_by(2).collect(), (1..n).step_by(2).collect()];
+        for kind in ModelKind::all() {
+            let mut cfg = ModelConfig::for_kind(kind, &g);
+            if cfg.propagation().is_feature_dependent() {
+                continue;
+            }
+            cfg.residual = true;
+            cfg.num_layers = 3;
+            cfg.hidden_dim = 16;
+            let model = GnnModel::new(cfg.clone(), 17).unwrap();
+            let full = cfg.propagation().matrix(&g, &Tensor::zeros(0, 0));
+            let mut h = Tensor::from_vec(n, g.feature_dim(), g.features().to_vec()).unwrap();
+            for (i, layer) in model.layers().iter().enumerate() {
+                let mut next = Tensor::zeros(n, layer.out_dim());
+                for owned in &shards {
+                    let prop = full.submatrix(owned, &every_node);
+                    let owned_pos: Vec<u32> = owned.iter().map(|&node| node as u32).collect();
+                    let out =
+                        crate::layers::shard_layer_forward(layer, &prop, &h, &owned_pos, true, i)
+                            .unwrap();
+                    for (row, &node) in owned.iter().enumerate() {
+                        next.row_mut(node).copy_from_slice(out.row(row));
+                    }
+                }
+                h = next;
+            }
+            let expected = model.forward(&g).unwrap();
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&h), bits(&expected), "{kind:?}");
+            // The residual is live in this configuration, not vacuous.
+            cfg.residual = false;
+            let plain = GnnModel::new(cfg, 17).unwrap().forward(&g).unwrap();
+            assert_ne!(expected, plain, "{kind:?}: residual must change the logits");
         }
     }
 

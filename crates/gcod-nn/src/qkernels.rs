@@ -132,19 +132,22 @@ fn quant_row_into_acc<T: QuantInt>(
     }
 }
 
-fn spmm_typed<T: QuantInt>(
+/// The one quantized SpMM row loop: computes output rows `rows` of `A · X`
+/// into `chunk` (exactly those rows of the output), one row at a time with a
+/// private widened-integer accumulator and one dequantizing conversion per
+/// element. The scalar oracle runs it over the single range `0..rows`; the
+/// pooled kernel over one cost-balanced range per lane.
+fn spmm_rows_typed<T: QuantInt>(
     a: &QuantizedCsr,
     a_vals: &[T],
     x_vals: &[T],
     x_cols: usize,
     scale: f32,
-) -> Tensor {
-    let mut out = Tensor::zeros(a.rows(), x_cols);
-    if x_cols == 0 {
-        return out;
-    }
+    rows: std::ops::Range<usize>,
+    chunk: &mut [f32],
+) {
     let mut acc = vec![T::ZERO; x_cols];
-    for r in 0..a.rows() {
+    for (local, r) in rows.enumerate() {
         acc.fill(T::ZERO);
         let range = a.row_range(r);
         quant_row_into_acc(
@@ -154,11 +157,50 @@ fn spmm_typed<T: QuantInt>(
             x_cols,
             &mut acc,
         );
-        for (o, &slot) in out.row_mut(r).iter_mut().zip(acc.iter()) {
+        let out_row = &mut chunk[local * x_cols..(local + 1) * x_cols];
+        for (o, &slot) in out_row.iter_mut().zip(acc.iter()) {
             *o = T::acc_to_f32(slot, scale);
         }
     }
+}
+
+fn spmm_typed<T: QuantInt>(
+    a: &QuantizedCsr,
+    a_vals: &[T],
+    x_vals: &[T],
+    x_cols: usize,
+    scale: f32,
+    lanes: usize,
+) -> Tensor {
+    let rows = a.rows();
+    let mut out = Tensor::zeros(rows, x_cols);
+    if lanes <= 1 {
+        spmm_rows_typed(a, a_vals, x_vals, x_cols, scale, 0..rows, out.data_mut());
+    } else {
+        let indptr = a.indptr();
+        Pool::global().parallel_for_ranges(
+            rows,
+            out.data_mut(),
+            lanes,
+            |r| indptr[r + 1] - indptr[r],
+            |range, chunk| spmm_rows_typed(a, a_vals, x_vals, x_cols, scale, range, chunk),
+        );
+    }
     out
+}
+
+/// Shape/width checks plus the width dispatch shared by the oracle
+/// (`lanes == 1`) and the pooled kernel.
+fn quant_spmm(kernel: &str, a: &QuantizedCsr, x: &QuantizedTensor, lanes: usize) -> Result<Tensor> {
+    check_quant_spmm_shapes(kernel, a, x)?;
+    let scale = a.scale() * x.scale();
+    Ok(match (a.values(), x.values()) {
+        (QuantValues::I8(av), QuantValues::I8(xv)) => spmm_typed(a, av, xv, x.cols(), scale, lanes),
+        (QuantValues::I16(av), QuantValues::I16(xv)) => {
+            spmm_typed(a, av, xv, x.cols(), scale, lanes)
+        }
+        _ => unreachable!("width equality checked above"),
+    })
 }
 
 /// The scalar fixed-point SpMM oracle: one row at a time, non-zeros in
@@ -174,13 +216,7 @@ fn spmm_typed<T: QuantInt>(
 /// Returns [`NnError::ShapeMismatch`] when `a.cols() != x.rows()` or the
 /// operand widths differ.
 pub fn quant_spmm_reference(a: &QuantizedCsr, x: &QuantizedTensor) -> Result<Tensor> {
-    check_quant_spmm_shapes("reference", a, x)?;
-    let scale = a.scale() * x.scale();
-    Ok(match (a.values(), x.values()) {
-        (QuantValues::I8(av), QuantValues::I8(xv)) => spmm_typed(a, av, xv, x.cols(), scale),
-        (QuantValues::I16(av), QuantValues::I16(xv)) => spmm_typed(a, av, xv, x.cols(), scale),
-        _ => unreachable!("width equality checked above"),
-    })
+    quant_spmm("reference", a, x, 1)
 }
 
 /// A sparse × dense multiplication kernel over quantized operands:
@@ -260,52 +296,6 @@ impl ParallelQuantSpmm {
             scalar_cutoff_macs,
         }
     }
-
-    fn effective_workers(&self, rows: usize) -> usize {
-        Pool::global()
-            .effective_workers(self.workers)
-            .clamp(1, rows.max(1))
-    }
-
-    fn spmm_typed_parallel<T: QuantInt>(
-        &self,
-        a: &QuantizedCsr,
-        a_vals: &[T],
-        x_vals: &[T],
-        x_cols: usize,
-        scale: f32,
-        workers: usize,
-    ) -> Tensor {
-        let rows = a.rows();
-        let mut out = Tensor::zeros(rows, x_cols);
-        let indptr = a.indptr();
-        let indices = a.indices();
-        Pool::global().parallel_for_ranges(
-            rows,
-            out.data_mut(),
-            workers,
-            |r| indptr[r + 1] - indptr[r],
-            |range, chunk| {
-                let mut acc = vec![T::ZERO; x_cols];
-                for (local, r) in range.enumerate() {
-                    acc.fill(T::ZERO);
-                    let (start, end) = (indptr[r] as usize, indptr[r + 1] as usize);
-                    quant_row_into_acc(
-                        &indices[start..end],
-                        &a_vals[start..end],
-                        x_vals,
-                        x_cols,
-                        &mut acc,
-                    );
-                    let out_row = &mut chunk[local * x_cols..(local + 1) * x_cols];
-                    for (o, &slot) in out_row.iter_mut().zip(acc.iter()) {
-                        *o = T::acc_to_f32(slot, scale);
-                    }
-                }
-            },
-        );
-        out
-    }
 }
 
 impl QuantSpmmKernel for ParallelQuantSpmm {
@@ -314,24 +304,12 @@ impl QuantSpmmKernel for ParallelQuantSpmm {
     }
 
     fn spmm(&self, a: &QuantizedCsr, x: &QuantizedTensor) -> Result<Tensor> {
-        check_quant_spmm_shapes(self.name(), a, x)?;
-        let rows = a.rows();
-        let cols = x.cols();
-        let workers = self.effective_workers(rows);
-        let too_small = sparse_ops::spmm_macs(a.nnz(), cols) < self.scalar_cutoff_macs;
-        if workers <= 1 || rows == 0 || cols == 0 || too_small {
-            return quant_spmm_reference(a, x);
-        }
-        let scale = a.scale() * x.scale();
-        Ok(match (a.values(), x.values()) {
-            (QuantValues::I8(av), QuantValues::I8(xv)) => {
-                self.spmm_typed_parallel(a, av, xv, cols, scale, workers)
-            }
-            (QuantValues::I16(av), QuantValues::I16(xv)) => {
-                self.spmm_typed_parallel(a, av, xv, cols, scale, workers)
-            }
-            _ => unreachable!("width equality checked above"),
-        })
+        let lanes = Pool::global()
+            .effective_workers(self.workers)
+            .clamp(1, a.rows().max(1));
+        let too_small = sparse_ops::spmm_macs(a.nnz(), x.cols()) < self.scalar_cutoff_macs;
+        let lanes = if x.cols() == 0 || too_small { 1 } else { lanes };
+        quant_spmm(self.name(), a, x, lanes)
     }
 }
 

@@ -16,8 +16,7 @@
 //!   domain (i32 accumulation for int8, i64 for int16), and dequantized
 //!   only at the operator boundary (bias, activation and residual stay
 //!   f32),
-//! * [`quantized_forward`] / [`quantization_accuracy_drop`] — the Table VII
-//!   comparison entry points.
+//! * [`quantization_accuracy_drop`] — the Table VII comparison entry point.
 //!
 //! Selecting a quantized [`Precision`] on a [`GnnModel`] (via
 //! [`GnnModel::with_precision`]) routes its *inference* path
@@ -27,7 +26,7 @@
 
 use crate::kernels::KernelKind;
 use crate::layers::{graph_conv_forward_quant, Activation};
-use crate::models::{GnnModel, ModelConfig};
+use crate::models::{forward_layers, GnnModel, ModelConfig};
 use crate::qkernels::quant_kernel_for;
 use crate::{Result, Tensor};
 use gcod_graph::{Graph, QuantValues, QuantWidth, QuantizedCsr};
@@ -257,74 +256,21 @@ impl QuantizedModel {
     /// Returns [`crate::NnError::ModelGraphMismatch`] when the graph does
     /// not match the configuration.
     pub fn forward(&self, graph: &Graph) -> Result<Tensor> {
-        crate::models::check_graph_for(&self.config, graph)?;
-        let propagation_rule = self.config.propagation();
         let kernel = quant_kernel_for(self.kernel, self.workers);
-        let mut h = GnnModel::input_features(graph);
-        // Feature-independent propagation matrices are built and quantized
-        // once, shared across layers.
-        let shared = if propagation_rule.is_feature_dependent() {
-            None
-        } else {
-            Some(QuantizedCsr::quantize(
-                &propagation_rule.matrix(graph, &h),
-                self.width,
-            ))
-        };
-        for (i, layer) in self.layers.iter().enumerate() {
-            let rebuilt;
-            let propagation = match &shared {
-                Some(p) => p,
-                None => {
-                    // Attention scores are computed from the f32 activations
-                    // (feature-dependent propagation), then quantized like
-                    // any other operand.
-                    rebuilt =
-                        QuantizedCsr::quantize(&propagation_rule.matrix(graph, &h), self.width);
-                    &rebuilt
-                }
-            };
-            let mut next =
-                graph_conv_forward_quant(layer, propagation, &h, kernel.as_ref(), self.workers)?;
-            // Residual connection between same-width hidden layers (f32, at
-            // the layer boundary — mirrors the f32 forward).
-            if self.config.residual && i > 0 && next.shape() == h.shape() {
-                next.add_assign(&h)?;
-            }
-            h = next;
-        }
-        Ok(h)
+        // The f32 layer loop with two substitutions: every propagation
+        // matrix (attention's per-layer rebuilds included, scored from the
+        // f32 activations) is quantized like any other operand, and the
+        // layer step is the integer one.
+        forward_layers(
+            &self.config,
+            graph,
+            &self.layers,
+            |propagation| QuantizedCsr::quantize(&propagation, self.width),
+            |layer, propagation, h| {
+                graph_conv_forward_quant(layer, propagation, h, kernel.as_ref(), self.workers)
+            },
+        )
     }
-
-    /// Batched quantized inference for a stack of node queries: one fused
-    /// forward pass with the logit rows of `nodes` gathered out, mirroring
-    /// [`GnnModel::forward_rows`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError::ModelGraphMismatch`] when the graph does
-    /// not match the configuration and [`crate::NnError::ShapeMismatch`]
-    /// when a node index is out of bounds.
-    pub fn forward_rows(&self, graph: &Graph, nodes: &[usize]) -> Result<Tensor> {
-        let logits = self.forward(graph)?;
-        logits.gather_rows(nodes)
-    }
-}
-
-/// Runs real int8 inference: quantizes the model's weights once into a
-/// [`QuantizedModel`] and executes the integer compute path. Returns the
-/// (f32) logits.
-///
-/// Callers evaluating many graphs or requests against one model should
-/// construct the [`QuantizedModel`] themselves and reuse it — this
-/// convenience wrapper re-quantizes the weights on every call (it no longer
-/// clones the whole f32 model, but the per-call quantization cost remains).
-///
-/// # Errors
-///
-/// Propagates forward-pass shape errors.
-pub fn quantized_forward(model: &GnnModel, graph: &Graph) -> Result<Tensor> {
-    QuantizedModel::from_model(model, QuantWidth::I8).forward(graph)
 }
 
 /// Accuracy drop (in absolute fraction) between fp32 and INT8 inference on
@@ -339,7 +285,7 @@ pub fn quantized_forward(model: &GnnModel, graph: &Graph) -> Result<Tensor> {
 /// Propagates forward-pass shape errors.
 pub fn quantization_accuracy_drop(model: &GnnModel, graph: &Graph) -> Result<f64> {
     let fp32 = model.forward(graph)?;
-    let int8 = quantized_forward(model, graph)?;
+    let int8 = QuantizedModel::from_model(model, QuantWidth::I8).forward(graph)?;
     let acc_fp32 = crate::metrics::masked_accuracy(&fp32, graph.labels(), graph.test_mask());
     let acc_int8 = crate::metrics::masked_accuracy(&int8, graph.labels(), graph.test_mask());
     Ok(acc_fp32 - acc_int8)
@@ -425,16 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_forward_changes_little() {
-        let g = small_graph(4);
-        let model = GnnModel::new(ModelConfig::gcn(&g), 1).unwrap();
-        let fp32 = model.forward(&g).unwrap();
-        let int8 = quantized_forward(&model, &g).unwrap();
-        let diff = fp32.sub(&int8).unwrap().norm() / fp32.norm().max(1e-9);
-        assert!(diff < 0.2, "relative difference {diff}");
-    }
-
-    #[test]
     fn int16_tracks_f32_tighter_than_int8() {
         let g = small_graph(7);
         let model = GnnModel::new(ModelConfig::gcn(&g), 3).unwrap();
@@ -452,40 +388,17 @@ mod tests {
             "int16 drift {drift16} should beat int8 drift {drift8}"
         );
         assert!(drift16 / fp32.norm().max(1e-9) < 0.01);
-    }
-
-    #[test]
-    fn wrapper_matches_explicit_quantized_model() {
-        let g = small_graph(9);
-        let model = GnnModel::new(ModelConfig::gcn(&g), 2).unwrap();
-        let via_wrapper = quantized_forward(&model, &g).unwrap();
-        let qm = QuantizedModel::from_model(&model, QuantWidth::I8);
-        let via_model = qm.forward(&g).unwrap();
-        assert_eq!(via_wrapper, via_model);
-        assert_eq!(qm.width(), QuantWidth::I8);
-        assert!(qm.param_bytes() < model.num_params() * 4);
-    }
-
-    #[test]
-    fn quantized_forward_rows_matches_full_gather() {
-        let g = small_graph(11);
-        let model = GnnModel::new(ModelConfig::gcn(&g), 5).unwrap();
-        let qm = QuantizedModel::from_model(&model, QuantWidth::I16);
-        let full = qm.forward(&g).unwrap();
-        let rows = qm.forward_rows(&g, &[3, 0, 17, 3]).unwrap();
-        assert_eq!(rows.row(0), full.row(3));
-        assert_eq!(rows.row(1), full.row(0));
-        assert_eq!(rows.row(2), full.row(17));
-        assert_eq!(rows.row(3), full.row(3));
+        assert!(drift8 / fp32.norm().max(1e-9) < 0.2);
     }
 
     #[test]
     fn quantized_path_is_worker_and_kernel_invariant() {
         let g = small_graph(13);
         let base = GnnModel::new(ModelConfig::gcn(&g), 6).unwrap();
-        let reference = QuantizedModel::from_model(&base, QuantWidth::I8)
-            .forward(&g)
-            .unwrap();
+        let quantized = QuantizedModel::from_model(&base, QuantWidth::I8);
+        assert_eq!(quantized.width(), QuantWidth::I8);
+        assert!(quantized.param_bytes() < base.num_params() * 4);
+        let reference = quantized.forward(&g).unwrap();
         for kernel in KernelKind::all() {
             for workers in [0usize, 1, 2, 3] {
                 let model = GnnModel::new(ModelConfig::gcn(&g), 6)

@@ -353,18 +353,9 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b, "sub")
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, |a, b| a * b, "hadamard")
-    }
-
     /// Combines two same-shape tensors elementwise with `op` (`name` labels
     /// the shape error). This is the primitive behind [`Tensor::add`],
-    /// [`Tensor::hadamard`] and friends; it is public so fused elementwise
+    /// [`Tensor::sub`] and friends; it is public so fused elementwise
     /// passes (e.g. the ReLU backward) can run in one allocation.
     ///
     /// # Errors
@@ -395,28 +386,7 @@ impl Tensor {
         })
     }
 
-    /// Adds `row` to every row of the tensor (bias broadcast).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `row.cols() != self.cols()` or
-    /// `row.rows() != 1`.
-    pub fn add_row_broadcast(&self, row: &Tensor) -> Result<Tensor> {
-        if row.rows != 1 || row.cols != self.cols {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "broadcast row must be 1x{}, got {}x{}",
-                    self.cols, row.rows, row.cols
-                ),
-            });
-        }
-        let mut out = self.clone();
-        out.add_row_broadcast_in_place(row)?;
-        Ok(out)
-    }
-
-    /// Adds `row` to every row of the tensor in place (allocation-free form
-    /// of [`Tensor::add_row_broadcast`], numerically identical).
+    /// Adds `row` to every row of the tensor in place (bias broadcast).
     ///
     /// # Errors
     ///
@@ -470,11 +440,6 @@ impl Tensor {
         }
     }
 
-    /// Gradient mask of the ReLU: 1 where the input was positive, else 0.
-    pub fn relu_mask(&self) -> Tensor {
-        self.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-    }
-
     /// Row-wise softmax (numerically stabilised).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
@@ -493,15 +458,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Row-wise maximum combined elementwise with `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn maximum(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, f32::max, "maximum")
     }
 
     /// Stacks the given rows (in order, duplicates allowed) into a new
@@ -565,25 +521,6 @@ impl Tensor {
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Concatenates two tensors with the same number of rows along columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the row counts differ.
-    pub fn concat_cols(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rows != other.rows {
-            return Err(NnError::ShapeMismatch {
-                context: format!("concat rows {} vs {}", self.rows, other.rows),
-            });
-        }
-        let mut out = Tensor::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(other.row(r));
-        }
-        Ok(out)
     }
 }
 
@@ -685,10 +622,9 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_mask() {
+    fn relu_clamps_negatives() {
         let a = Tensor::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
         assert_eq!(a.relu().data(), &[0.0, 0.0, 2.0, 0.0]);
-        assert_eq!(a.relu_mask().data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -716,38 +652,29 @@ mod tests {
         let b = Tensor::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.maximum(&b).unwrap().data(), &[4.0, 5.0, 6.0]);
     }
 
     #[test]
     fn broadcast_bias() {
-        let x = Tensor::zeros(2, 3);
+        let mut x = Tensor::zeros(2, 3);
         let bias = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
-        let out = x.add_row_broadcast(&bias).unwrap();
-        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
-        assert!(x.add_row_broadcast(&Tensor::zeros(1, 2)).is_err());
+        x.add_row_broadcast_in_place(&bias).unwrap();
+        assert_eq!(x.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(x.row(1), &[1.0, 2.0, 3.0]);
+        assert!(x.add_row_broadcast_in_place(&Tensor::zeros(1, 2)).is_err());
+        assert!(x.add_row_broadcast_in_place(&Tensor::zeros(2, 3)).is_err());
     }
 
     #[test]
     fn in_place_ops_match_their_allocating_forms() {
         let a = patterned(5, 4, 3);
         let b = patterned(5, 4, 9);
-        let bias = patterned(1, 4, 5);
 
         let mut sum = a.clone();
         sum.add_assign(&b).unwrap();
         assert_eq!(bits(&sum), bits(&a.add(&b).unwrap()));
         assert!(sum.add_assign(&Tensor::zeros(2, 2)).is_err());
-
-        let mut biased = a.clone();
-        biased.add_row_broadcast_in_place(&bias).unwrap();
-        assert_eq!(bits(&biased), bits(&a.add_row_broadcast(&bias).unwrap()));
-        assert!(biased
-            .add_row_broadcast_in_place(&Tensor::zeros(1, 3))
-            .is_err());
 
         let mut rectified = a.clone();
         rectified.relu_in_place();
@@ -761,15 +688,5 @@ mod tests {
         assert_eq!(a.mean(), 2.5);
         assert!((a.norm() - 30.0f32.sqrt()).abs() < 1e-6);
         assert_eq!(Tensor::zeros(0, 0).mean(), 0.0);
-    }
-
-    #[test]
-    fn concat_cols_stacks_features() {
-        let a = Tensor::from_vec(2, 1, vec![1.0, 2.0]).unwrap();
-        let b = Tensor::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let c = a.concat_cols(&b).unwrap();
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(1), &[2.0, 5.0, 6.0]);
-        assert!(a.concat_cols(&Tensor::zeros(3, 1)).is_err());
     }
 }

@@ -78,9 +78,8 @@ type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 /// side slot carrying the first panic payload of the batch back to the
 /// submitting thread.
 ///
-/// The pool joins every [`Pool::run`] batch behind one of these; `gcod-serve`
-/// reuses it to signal ticket completion to blocked clients. The counter only
-/// moves down — a `Latch` is a one-shot join, not a reusable barrier.
+/// The pool joins every [`Pool::run`] batch behind one of these. The counter
+/// only moves down — a `Latch` is a one-shot join, not a reusable barrier.
 pub struct Latch {
     remaining: Mutex<usize>,
     all_done: Condvar,

@@ -582,15 +582,14 @@ impl Server {
                 return;
             }
         };
-        let member_nodes: Vec<Vec<usize>> = members
-            .iter()
-            .map(|m| match &m.request {
-                ServeRequest::Classify { nodes, .. } => nodes.clone(),
+        fn nodes_of(member: &Submission) -> &[usize] {
+            match &member.request {
+                ServeRequest::Classify { nodes, .. } => nodes,
                 ServeRequest::PredictPerf { .. } => unreachable!("perf routed separately"),
-            })
-            .collect();
-        let lens: Vec<usize> = member_nodes.iter().map(Vec::len).collect();
-        let stacked_nodes: Vec<usize> = member_nodes.iter().flatten().copied().collect();
+            }
+        }
+        let lens: Vec<usize> = members.iter().map(|m| nodes_of(m).len()).collect();
+        let stacked_nodes: Vec<usize> = members.iter().flat_map(nodes_of).copied().collect();
         // gcod-check: allow(wall-clock) — service-time observation feeds the adaptive-batching estimate.
         let started = Instant::now();
         let fused = entry
@@ -599,13 +598,12 @@ impl Server {
         match fused {
             Ok(pieces) => {
                 shared.observe_service_time(started.elapsed(), members.len());
-                for ((member, nodes), logits) in members.into_iter().zip(member_nodes).zip(pieces) {
-                    let response = ServeResponse::Classification(Classification {
-                        model: entry.name().to_string(),
-                        nodes,
-                        classes: logits.argmax_rows(),
-                        logits,
-                    });
+                for (member, logits) in members.into_iter().zip(pieces) {
+                    let ServeRequest::Classify { nodes, .. } = member.request else {
+                        unreachable!("perf routed separately")
+                    };
+                    let response =
+                        ServeResponse::Classification(classification(entry, nodes, logits));
                     finish(shared, member.completion, Ok(response));
                 }
             }
@@ -622,12 +620,17 @@ impl Server {
 /// Answers one classification against a (local or sharded) model entry.
 fn classify(entry: &ModelEntry, nodes: &[usize]) -> Result<Classification> {
     let logits = entry.forward_rows(nodes)?;
-    Ok(Classification {
+    Ok(classification(entry, nodes.to_vec(), logits))
+}
+
+/// Packages the logit rows `entry` produced for `nodes` as the answer.
+fn classification(entry: &ModelEntry, nodes: Vec<usize>, logits: Tensor) -> Classification {
+    Classification {
         model: entry.name().to_string(),
-        nodes: nodes.to_vec(),
+        nodes,
         classes: logits.argmax_rows(),
         logits,
-    })
+    }
 }
 
 /// Fulfils a ticket and maintains the completion counters.
@@ -822,33 +825,6 @@ impl Handle {
                 Err(ServeError::Rejected(RejectReason::ShuttingDown))
             }
         }
-    }
-
-    /// Submits a request with an explicit deadline measured from now.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Handle::submit).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use submit(request, SubmitOptions::default().deadline(within))"
-    )]
-    pub fn submit_with_deadline(&self, request: ServeRequest, within: Duration) -> Result<Ticket> {
-        self.submit(request, SubmitOptions::default().deadline(within))
-    }
-
-    /// Submits a request, blocking while the queue is full instead of
-    /// reporting backpressure.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Handle::submit).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use submit(request, SubmitOptions::default().blocking())"
-    )]
-    pub fn submit_blocking(&self, request: ServeRequest) -> Result<Ticket> {
-        self.submit(request, SubmitOptions::default().blocking())
     }
 
     /// Number of submissions currently queued (excluding the batch being
@@ -1065,7 +1041,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_blocking_waits_for_a_slot_instead_of_rejecting() {
+    fn blocking_submit_waits_for_a_slot_instead_of_rejecting() {
         let handle = build_server(ServerConfig {
             queue_capacity: 1,
             ..ServerConfig::default()
@@ -1268,29 +1244,5 @@ mod tests {
             .unwrap();
         drop(handle); // joins the dispatcher after the drain
         assert!(ticket.wait().is_ok());
-    }
-
-    /// The deprecated submit trio must keep working for one release; this
-    /// is its only caller in the repo.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_shims_delegate_to_the_new_surface() {
-        let handle = build_server(ServerConfig::default()).spawn();
-        // Deadline shim first: the estimate is still cold, so the zero
-        // deadline reaches triage instead of being shed at admission.
-        handle.pause();
-        let expired = handle
-            .submit_with_deadline(ServeRequest::classify("alpha-gcn", vec![0]), Duration::ZERO)
-            .unwrap();
-        handle.resume();
-        assert_eq!(
-            expired.wait(),
-            Err(ServeError::Rejected(RejectReason::DeadlineExpired))
-        );
-        let blocking = handle
-            .submit_blocking(ServeRequest::classify("alpha-gcn", vec![0]))
-            .unwrap();
-        assert!(blocking.wait().is_ok());
-        handle.shutdown();
     }
 }

@@ -480,7 +480,7 @@ pub struct ShardedModel {
     fallback_graph: Graph,
     fallback_model: GnnModel,
     /// Serialises respawn cycles and lets shutdown block new ones — the
-    /// queue/latch/respawn state machine model-checked in
+    /// begin/finish/await/close state machine model-checked in
     /// `tests/model_supervisor.rs`.
     gate: RecoveryGate,
     state: Mutex<RouterState>,
@@ -647,9 +647,8 @@ impl ShardedModel {
             match recv(&mut conn, shard as u32, stats)? {
                 ShardReply::Hello { shard: said } if said == shard as u32 => {}
                 other => {
-                    return Err(protocol(format!(
-                        "shard {shard}: expected Hello{{{shard}}}, got {other:?}"
-                    )))
+                    let expected = format_args!("Hello{{{shard}}}");
+                    return Err(unexpected(shard, expected, &other));
                 }
             }
             send(
@@ -662,11 +661,12 @@ impl ShardedModel {
                     if owned as usize == plan.owned(shard).len()
                         && halo as usize == plan.halo(shard).len() => {}
                 other => {
-                    return Err(protocol(format!(
-                        "shard {shard}: expected Loaded{{owned: {}, halo: {}}}, got {other:?}",
+                    let expected = format!(
+                        "Loaded{{owned: {}, halo: {}}}",
                         plan.owned(shard).len(),
                         plan.halo(shard).len()
-                    )))
+                    );
+                    return Err(unexpected(shard, expected, &other));
                 }
             }
             Ok(())
@@ -821,11 +821,7 @@ impl ShardedModel {
             let piece = loop {
                 match self.rpc(&mut state, shard, &req) {
                     Ok(ShardReply::Rows(rows)) => break rows,
-                    Ok(other) => {
-                        return Err(protocol(format!(
-                            "shard {shard}: expected Rows, got {other:?}"
-                        )))
-                    }
+                    Ok(other) => return Err(unexpected(shard, "Rows", &other)),
                     Err(RpcFail::Fatal(e)) => return Err(e),
                     Err(RpcFail::Respawn) => {
                         match self.respawn(&mut state, shard) {
@@ -1057,9 +1053,8 @@ impl ShardedModel {
                     state.exports_cache[layer][shard] = exports;
                 }
                 other => {
-                    return Err(RpcFail::Fatal(protocol(format!(
-                        "shard {shard}: expected LayerDone during replay, got {other:?}"
-                    ))))
+                    let expected = "LayerDone during replay";
+                    return Err(RpcFail::Fatal(unexpected(shard, expected, &other)));
                 }
             }
             if layer + 1 == num_layers {
@@ -1071,9 +1066,8 @@ impl ShardedModel {
             match self.rpc(state, shard, &ShardRequest::Advance { halo })? {
                 ShardReply::Advanced => {}
                 other => {
-                    return Err(RpcFail::Fatal(protocol(format!(
-                        "shard {shard}: expected Advanced during replay, got {other:?}"
-                    ))))
+                    let expected = "Advanced during replay";
+                    return Err(RpcFail::Fatal(unexpected(shard, expected, &other)));
                 }
             }
         }
@@ -1127,9 +1121,7 @@ impl ShardedModel {
                     ) {
                         Ok(ShardReply::LayerDone { exports: e }) => exports.push(e),
                         Ok(other) => {
-                            return Err(Outage::Fatal(protocol(format!(
-                                "shard {shard}: expected LayerDone, got {other:?}"
-                            ))))
+                            return Err(Outage::Fatal(unexpected(shard, "LayerDone", &other)))
                         }
                         Err(RpcFail::Fatal(e)) => return Err(Outage::Fatal(e)),
                         Err(RpcFail::Respawn) => {
@@ -1146,9 +1138,7 @@ impl ShardedModel {
                         match self.rpc(state, shard, &ShardRequest::Advance { halo }) {
                             Ok(ShardReply::Advanced) => {}
                             Ok(other) => {
-                                return Err(Outage::Fatal(protocol(format!(
-                                    "shard {shard}: expected Advanced, got {other:?}"
-                                ))))
+                                return Err(Outage::Fatal(unexpected(shard, "Advanced", &other)))
                             }
                             Err(RpcFail::Fatal(e)) => return Err(Outage::Fatal(e)),
                             Err(RpcFail::Respawn) => {
@@ -1204,9 +1194,7 @@ impl ShardedModel {
             let goodbye = send(&mut conn, &ShardRequest::Shutdown, &self.stats).and_then(|()| {
                 match recv(&mut conn, shard as u32, &self.stats)? {
                     ShardReply::Bye => Ok(()),
-                    other => Err(protocol(format!(
-                        "shard {shard}: expected Bye, got {other:?}"
-                    ))),
+                    other => Err(unexpected(shard, "Bye", &other)),
                 }
             });
             outcomes.push(ShardShutdownOutcome {
@@ -1238,6 +1226,12 @@ impl Drop for ShardedModel {
 
 fn protocol(context: String) -> ServeError {
     ServeError::Shard(ShardError::Protocol { context })
+}
+
+/// The protocol error for a well-formed reply of the wrong kind (or with the
+/// wrong contents) from `shard`.
+fn unexpected(shard: usize, expected: impl std::fmt::Display, got: &ShardReply) -> ServeError {
+    protocol(format!("shard {shard}: expected {expected}, got {got:?}"))
 }
 
 /// Writes one frame, maintaining the transport counters.

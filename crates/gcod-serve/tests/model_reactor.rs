@@ -14,8 +14,9 @@
 //!   `Reactor::wait` forever and the checker would report the stuck
 //!   schedule as a deadlock;
 //! * **drain-on-shutdown** — closing the queue and then the reactor, even
-//!   racing in-flight submitters, terminates the dispatcher with every
-//!   *accepted* ticket resolved (and every rejected one untouched);
+//!   racing in-flight submitters or the dispatcher's first pop of a
+//!   pre-existing backlog, terminates the dispatcher with every *accepted*
+//!   ticket resolved (and every rejected one untouched);
 //! * **pause/park handshake** — the `paused`/`parked` condvar protocol
 //!   (`Handle::pause` blocks until the dispatcher parks; the parked
 //!   dispatcher blocks in `Reactor::wait` until `EV_CONTROL`) neither
@@ -163,6 +164,40 @@ fn shutdown_drain_resolves_every_accepted_ticket() {
         "expected meaningful schedule coverage, got {}",
         report.interleavings
     );
+}
+
+/// The backlog case: a submission accepted *before* the dispatcher thread
+/// exists, with shutdown racing the dispatcher's very first pop. The close
+/// may land before, between or after the pop and the closed-check; on every
+/// schedule the queued ticket resolves and the dispatcher terminates.
+#[test]
+fn close_racing_the_first_pop_leaves_nothing_stranded() {
+    Model::default().check("serve-reactor-close-races-first-pop", || {
+        let queue = Arc::new(SyncQueue::bounded(2));
+        let reactor = Arc::new(Reactor::new());
+        let ticket = Arc::new(Event::new());
+        queue
+            .try_push(Arc::clone(&ticket))
+            .expect("fresh queue accepts the submission");
+        reactor.raise(EV_SUBMIT);
+
+        let dispatcher = {
+            let queue = Arc::clone(&queue);
+            let reactor = Arc::clone(&reactor);
+            thread::spawn_named("dispatcher", move || dispatcher_loop(&queue, &reactor))
+        };
+        let closer = {
+            let queue = Arc::clone(&queue);
+            let reactor = Arc::clone(&reactor);
+            thread::spawn_named("closer", move || {
+                queue.close();
+                reactor.close();
+            })
+        };
+        closer.join().expect("closer");
+        dispatcher.join().expect("dispatcher");
+        assert!(ticket.is_set(), "the queued ticket must resolve");
+    });
 }
 
 /// The pause/park handshake: `pause()` (set `paused`, raise `EV_CONTROL`,

@@ -123,15 +123,13 @@ impl ShardWorker {
             // A new inference starts: reset activations from features.
             state.h_local = state.spec.features.clone();
         }
-        // Mirrors GnnModel::forward: residual applies from layer 1 on.
-        let apply_residual = state.spec.residual && layer > 0;
         let owned_out = shard_layer_forward(
             &state.spec.layers[layer],
             &state.spec.prop,
             &state.h_local,
             &state.spec.owned_pos,
-            apply_residual,
-            0,
+            state.spec.residual,
+            layer,
         )
         .map_err(|e| format!("layer {layer} forward failed: {e}"))?;
         let export_rows: Vec<usize> = state.spec.export_rows.iter().map(|&r| r as usize).collect();

@@ -7,9 +7,9 @@ use gcod::accel::config::AcceleratorConfig;
 use gcod::accel::simulator::GcodAccelerator;
 use gcod::baselines::{suite, Platform, SimRequest};
 use gcod::core::{GcodConfig, GcodPipeline, Polarizer, SplitWorkload, SubgraphLayout};
-use gcod::graph::{DatasetProfile, GraphGenerator, GraphStats};
+use gcod::graph::{DatasetProfile, GraphGenerator, GraphStats, QuantWidth};
 use gcod::nn::models::{GnnModel, ModelConfig, ModelKind};
-use gcod::nn::quant::Precision;
+use gcod::nn::quant::{Precision, QuantizedModel};
 use gcod::nn::train::{TrainConfig, Trainer};
 use gcod::nn::workload::InferenceWorkload;
 
@@ -131,19 +131,21 @@ fn reordering_and_pruning_reduce_offchip_traffic_on_gcod() {
 
     let model_cfg = ModelConfig::gcn(&reordered);
     let accel = GcodAccelerator::new(AcceleratorConfig::vcu128());
-    let before = accel.simulate_split(
-        &InferenceWorkload::build(&reordered, &model_cfg, Precision::Fp32),
-        &untouched_split,
+    let before = accel
+        .simulate(&SimRequest::with_split(
+            InferenceWorkload::build(&reordered, &model_cfg, Precision::Fp32),
+            untouched_split,
+        ))
+        .unwrap();
+    let tuned_workload = InferenceWorkload::build_with_adjacency_nnz(
+        &reordered,
+        &model_cfg,
+        Precision::Fp32,
+        tuned_split.total_nnz(),
     );
-    let after = accel.simulate_split(
-        &InferenceWorkload::build_with_adjacency_nnz(
-            &reordered,
-            &model_cfg,
-            Precision::Fp32,
-            tuned_split.total_nnz(),
-        ),
-        &tuned_split,
-    );
+    let after = accel
+        .simulate(&SimRequest::with_split(tuned_workload, tuned_split))
+        .unwrap();
     assert!(after.off_chip_bytes <= before.off_chip_bytes);
     assert!(after.cycles <= before.cycles);
 }
@@ -188,7 +190,9 @@ fn gcod_8bit_variant_is_at_least_as_fast_and_as_accurate_as_claimed() {
         .unwrap();
 
     // Accuracy at INT8 stays within a few points of fp32 (Table VII).
-    let int8_logits = gcod::nn::quant::quantized_forward(&result.model, &result.graph).unwrap();
+    let int8_logits = QuantizedModel::from_model(&result.model, QuantWidth::I8)
+        .forward(&result.graph)
+        .unwrap();
     let int8_acc = gcod::nn::metrics::masked_accuracy(
         &int8_logits,
         result.graph.labels(),
@@ -198,24 +202,23 @@ fn gcod_8bit_variant_is_at_least_as_fast_and_as_accurate_as_claimed() {
 
     // Speed: the 8-bit accelerator configuration is at least as fast.
     let model_cfg = ModelConfig::gcn(&result.graph);
-    let fp32 = GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(
-        &InferenceWorkload::build_with_adjacency_nnz(
-            &result.graph,
-            &model_cfg,
-            Precision::Fp32,
-            result.split.total_nnz(),
-        ),
-        &result.split,
-    );
-    let int8 = GcodAccelerator::new(AcceleratorConfig::vcu128_int8()).simulate_split(
-        &InferenceWorkload::build_with_adjacency_nnz(
-            &result.graph,
-            &model_cfg,
-            Precision::Int8,
-            result.split.total_nnz(),
-        ),
-        &result.split,
-    );
+    let request = |precision| {
+        SimRequest::with_split(
+            InferenceWorkload::build_with_adjacency_nnz(
+                &result.graph,
+                &model_cfg,
+                precision,
+                result.split.total_nnz(),
+            ),
+            result.split.clone(),
+        )
+    };
+    let fp32 = GcodAccelerator::new(AcceleratorConfig::vcu128())
+        .simulate(&request(Precision::Fp32))
+        .unwrap();
+    let int8 = GcodAccelerator::new(AcceleratorConfig::vcu128_int8())
+        .simulate(&request(Precision::Int8))
+        .unwrap();
     assert!(int8.latency_ms <= fp32.latency_ms);
     assert!(int8.off_chip_bytes < fp32.off_chip_bytes);
 }

@@ -47,15 +47,17 @@ fn experiment_run_matches_the_hand_stitched_sequence_exactly() {
         .run(&graph, ModelKind::Gcn, seed)
         .unwrap();
     let model_cfg = ModelConfig::for_kind(ModelKind::Gcn, &graph);
-    let manual_gcod_report = GcodAccelerator::new(AcceleratorConfig::vcu128()).simulate_split(
-        &InferenceWorkload::build_with_adjacency_nnz(
-            &manual.graph,
-            &model_cfg,
-            Precision::Fp32,
-            manual.split.total_nnz(),
-        ),
-        &manual.split,
-    );
+    let manual_gcod_report = GcodAccelerator::new(AcceleratorConfig::vcu128())
+        .simulate(&SimRequest::with_split(
+            InferenceWorkload::build_with_adjacency_nnz(
+                &manual.graph,
+                &model_cfg,
+                Precision::Fp32,
+                manual.split.total_nnz(),
+            ),
+            manual.split.clone(),
+        ))
+        .unwrap();
     let manual_cpu_report = suite::reference_platform()
         .simulate(&SimRequest::new(InferenceWorkload::build(
             &graph,

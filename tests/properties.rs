@@ -11,6 +11,7 @@ use gcod::nn::quant::Precision;
 use gcod::nn::sparse_ops::{spmm, spmm_csc};
 use gcod::nn::workload::InferenceWorkload;
 use gcod::nn::Tensor;
+use gcod::platform::{Platform, SimRequest};
 use proptest::prelude::*;
 
 /// Strategy: a random small undirected graph as an edge list over `n` nodes.
@@ -133,14 +134,12 @@ proptest! {
         let model_cfg = ModelConfig::gcn(&reordered);
         let accel = GcodAccelerator::new(AcceleratorConfig::small_test());
         let base_nnz = split.total_nnz();
-        let small = accel.simulate_split(
-            &InferenceWorkload::build_with_adjacency_nnz(&reordered, &model_cfg, Precision::Fp32, base_nnz),
-            &split,
-        );
-        let large = accel.simulate_split(
-            &InferenceWorkload::build_with_adjacency_nnz(&reordered, &model_cfg, Precision::Fp32, base_nnz * extra),
-            &split,
-        );
+        let simulate = |nnz| {
+            let workload = InferenceWorkload::build_with_adjacency_nnz(&reordered, &model_cfg, Precision::Fp32, nnz);
+            accel.simulate(&SimRequest::with_split(workload, split.clone())).unwrap()
+        };
+        let small = simulate(base_nnz);
+        let large = simulate(base_nnz * extra);
         prop_assert!(large.cycles >= small.cycles);
     }
 }
