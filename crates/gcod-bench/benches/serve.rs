@@ -5,9 +5,11 @@
 //!
 //! Each classify case submits `batch` compatible requests (same served
 //! model) and waits for all tickets; the batcher coalesces them into fused
-//! forward passes of at most `batch` requests, so the sweep exposes the
-//! batching win directly: per-request latency should fall as the batch
-//! grows, because one propagation pass is amortised over the whole batch.
+//! gathers of at most `batch` requests over the logits the served model
+//! computed once (the first, untimed request drives that pass), so the
+//! sweep exposes what batching still buys: per-request latency falls as the
+//! batch grows because the submit → dispatcher wake → ticket round trip is
+//! amortised over the whole batch.
 //! The case list and fixtures live in [`gcod_bench::sweeps`], shared with
 //! the `bench_gate` CI binary so the gate re-measures exactly this sweep.
 //!

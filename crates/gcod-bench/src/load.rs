@@ -247,16 +247,24 @@ impl OpenLoopReport {
 }
 
 /// Runs one open-loop measurement: spawns the [`serve_server`] fixture,
-/// paces `config.requests` Poisson arrivals at `config.offered_rps`, and
-/// collects completion latencies on a second thread (so waiting never
-/// back-pressures the arrival clock — that would close the loop).
+/// answers one untimed warm-up request, paces `config.requests` Poisson
+/// arrivals at `config.offered_rps`, and collects completion latencies on a
+/// second thread (so waiting never back-pressures the arrival clock — that
+/// would close the loop).
 ///
 /// # Panics
 ///
-/// Panics when the collector thread panics (a harness bug, not a load
-/// outcome).
+/// Panics when the warm-up request fails or the collector thread panics (a
+/// harness bug, not a load outcome).
 pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     let handle = serve_server(config.max_batch).spawn();
+    // A served model computes its full-graph logits on its first
+    // classification. Pay for that pass before the arrival clock starts
+    // (as the closed-loop cases' untimed first iteration does): inside the
+    // window it would stall the handful of arrivals behind it, and with a
+    // few hundred requests per load those few *are* the p99.
+    let warm_up = handle.submit(serve_classify_request(0), SubmitOptions::default());
+    warm_up.and_then(|t| t.wait()).expect("warm-up request");
     let inflight: Arc<SyncQueue<(Ticket, Instant)>> =
         Arc::new(SyncQueue::bounded(config.requests.max(1)));
 

@@ -402,14 +402,15 @@ impl GnnModel {
     /// over the whole graph, with the logit rows of `nodes` (in order,
     /// duplicates allowed) stacked into a `nodes.len() × classes` tensor.
     ///
-    /// This is the serving entry point: a batcher that coalesces many
-    /// node-classification requests against the same model concatenates
-    /// their node lists, pays for **one** propagation + combination pass,
-    /// and splits the stacked rows back out per request. Because graph
-    /// convolution computes every node's logits from the full neighbourhood
-    /// anyway, the fused pass is bit-for-bit identical to running
-    /// [`forward`](GnnModel::forward) once per request and gathering each
-    /// request's rows — batching never changes a single bit of any answer.
+    /// This is the uncached reference for serving: it pays for a whole
+    /// propagation + combination pass on every call, which is what makes it
+    /// an independent oracle for `gcod-serve`, whose served models run
+    /// [`forward`](GnnModel::forward) once and answer every request with
+    /// [`Tensor::gather_rows`]. Because graph convolution computes every
+    /// node's logits from the full neighbourhood anyway, the stacked rows
+    /// are bit-for-bit identical to running `forward` once per request and
+    /// gathering each request's rows — batching never changes a single bit
+    /// of any answer.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@ use gcod_nn::{Result as NnResult, Tensor};
 /// (first-appearance order of each key) and within a group (submission
 /// order). This is the coalescing rule of the batcher: every member of a
 /// group shares a served model — hence dataset, architecture and precision —
-/// and may be fused into one forward pass.
+/// and may be answered by one gather.
 pub(crate) fn group_in_arrival_order<T, K: Eq + Clone>(
     items: Vec<T>,
     key: impl Fn(&T) -> K,
@@ -56,7 +56,7 @@ pub(crate) fn split_stacked(stacked: &Tensor, lens: &[usize]) -> NnResult<Vec<Te
 }
 
 /// Picks the fusion-window size for one batch of compatible requests:
-/// how many members one fused forward pass may carry before a request at
+/// how many members one fused gather may carry before a request at
 /// the *front* of the window would blow its deadline waiting for the pass
 /// to finish.
 ///

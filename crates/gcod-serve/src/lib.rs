@@ -6,12 +6,18 @@
 //! stage) and answers two request families through one queued surface:
 //!
 //! * **node classification** ([`ServeRequest::Classify`]) — executed on the
-//!   CPU kernel path. A batcher coalesces compatible requests (same served
-//!   model, hence same dataset / architecture / precision) into **one fused
-//!   forward pass** over the `gcod-runtime` pool and splits the stacked
-//!   logit rows back out per request. Batching is bit-deterministic: the
-//!   fused pass produces exactly the bytes of one-by-one execution (pinned
-//!   by this crate's tests and the workspace `serve_differential` suite).
+//!   CPU kernel path, once: a served model's first classification runs the
+//!   full-graph forward pass over the `gcod-runtime` pool and keeps the
+//!   logits, and every request after it is a row gather (a GCN layer reads
+//!   every node's neighbourhood, and nothing mutates a registered model).
+//!   A batcher coalesces compatible requests (same served model, hence same
+//!   dataset / architecture / precision) into **one fused gather** and
+//!   splits the stacked logit rows back out per request. Batching and
+//!   caching are bit-deterministic: every answer carries exactly the bytes
+//!   of an uncached `GnnModel::forward_rows` (pinned by this crate's tests
+//!   and the workspace `serve_differential` suite). A [`ShardedModel`] puts
+//!   a shard fabric in front of the same plan and answers from it again
+//!   when the fabric degrades.
 //! * **perf prediction** ([`ServeRequest::PredictPerf`]) — routed across the
 //!   platform suite by scoring each eligible backend with
 //!   [`Platform::predicted_cost_ms`](gcod_platform::Platform::predicted_cost_ms)

@@ -1,21 +1,31 @@
-//! A trained model packaged for serving.
+//! A trained model packaged for serving, and the one local inference plan:
+//! full-graph logits computed once, every request a row gather.
 
+use crate::error::Result;
 use gcod_core::SplitWorkload;
 use gcod_graph::Graph;
 use gcod_nn::kernels::KernelKind;
 use gcod_nn::models::GnnModel;
 use gcod_nn::quant::Precision;
 use gcod_nn::workload::InferenceWorkload;
+use gcod_nn::{NnError, Tensor};
 use gcod_platform::{Platform, SimRequest};
+use gcod_runtime::sync::Mutex;
+use std::sync::Arc;
 
 /// One model the server owns: the trained [`GnnModel`], the (tuned) graph it
 /// answers queries on, and the simulation requests the backend router feeds
 /// to the platform suite.
 ///
+/// A GCN layer touches every node's neighbourhood, and nothing mutates a
+/// registered model or its graph, so the full-graph logits are computed by
+/// the first classification and kept: every later request is a row gather
+/// out of them, bit-identical to [`GnnModel::forward_rows`].
+///
 /// The name keys batching compatibility: two requests naming the same served
 /// model share the dataset, architecture and precision by construction, so
-/// the batcher may fuse them into one forward pass.
-#[derive(Debug, Clone)]
+/// the batcher may answer them with one gather.
+#[derive(Debug)]
 pub struct ServedModel {
     name: String,
     graph: Graph,
@@ -23,6 +33,10 @@ pub struct ServedModel {
     baseline: SimRequest,
     gcod_fp32: Option<SimRequest>,
     gcod_int8: Option<SimRequest>,
+    /// Full-graph logits of `model` on `graph`, filled by the first
+    /// classification. The lock is held across that one pass, so racing
+    /// first requests wait for it instead of each running their own.
+    logits: Mutex<Option<Arc<Tensor>>>,
 }
 
 impl ServedModel {
@@ -46,6 +60,7 @@ impl ServedModel {
             baseline,
             gcod_fp32: None,
             gcod_int8: None,
+            logits: Mutex::new(None),
         }
     }
 
@@ -75,7 +90,7 @@ impl ServedModel {
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.model.set_kernel(kernel);
-        self
+        self.uncached()
     }
 
     /// Selects the worker-lane count the CPU execution path runs with
@@ -84,17 +99,23 @@ impl ServedModel {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.model.set_workers(workers);
-        self
+        self.uncached()
     }
 
     /// Selects the numeric precision the CPU execution path evaluates with.
     /// Unlike the kernel and worker knobs this DOES change the answers: at
-    /// [`Precision::Int8`] / [`Precision::Int16`] every forward pass routes
+    /// [`Precision::Int8`] / [`Precision::Int16`] the forward pass routes
     /// through the integer compute path, so logits (and occasionally argmax
     /// classifications) shift by the quantization error.
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.model.set_precision(precision);
+        self.uncached()
+    }
+
+    /// Drops any logits computed under the previous execution settings.
+    fn uncached(mut self) -> Self {
+        self.logits = Mutex::new(None);
         self
     }
 
@@ -111,6 +132,37 @@ impl ServedModel {
     /// The trained model.
     pub fn model(&self) -> &GnnModel {
         &self.model
+    }
+
+    /// Rejects node indices outside the served graph — before any work, with
+    /// the error the row gather itself would raise.
+    pub(crate) fn check_nodes(&self, nodes: &[usize]) -> Result<()> {
+        let rows = self.graph.num_nodes();
+        match nodes.iter().find(|&&node| node >= rows) {
+            Some(node) => Err(NnError::ShapeMismatch {
+                context: format!("row index {node} out of bounds for {rows} rows"),
+            }
+            .into()),
+            None => Ok(()),
+        }
+    }
+
+    /// The full-graph logits: computed by the first call, shared afterwards.
+    fn logits(&self) -> Result<Arc<Tensor>> {
+        let mut cached = self.logits.lock_unpoisoned();
+        if let Some(logits) = cached.as_ref() {
+            return Ok(Arc::clone(logits));
+        }
+        let logits = Arc::new(self.model.forward(&self.graph)?);
+        *cached = Some(Arc::clone(&logits));
+        Ok(logits)
+    }
+
+    /// Logit rows for `nodes` (request order, duplicates allowed) — the one
+    /// place the serving crate runs a full-graph forward pass.
+    pub(crate) fn forward_rows(&self, nodes: &[usize]) -> Result<Tensor> {
+        self.check_nodes(nodes)?;
+        Ok(self.logits()?.gather_rows(nodes)?)
     }
 
     /// Whether a GCoD split is attached (accelerator backends eligible).
@@ -182,6 +234,67 @@ mod tests {
         assert_eq!(m.model().kernel(), KernelKind::ParallelCsr);
         assert_eq!(m.model().workers(), 2);
         assert_eq!(m.model().precision(), Precision::Int8);
+    }
+
+    #[test]
+    fn logits_are_computed_once_and_gathered_afterwards() {
+        let m = served();
+        assert!(m.logits.lock_unpoisoned().is_none(), "nothing runs early");
+        let nodes = [5, 0, 5, 59];
+        let first = m.forward_rows(&nodes).unwrap();
+        let filled = m.logits().unwrap();
+        let second = m.forward_rows(&nodes).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(first, m.model().forward_rows(m.graph(), &nodes).unwrap());
+        assert!(
+            Arc::ptr_eq(&filled, &m.logits().unwrap()),
+            "the second answer must gather from the first pass's tensor"
+        );
+    }
+
+    #[test]
+    fn changing_precision_drops_the_cached_logits() {
+        let m = served();
+        let nodes = [3, 17, 3];
+        let fp32 = m.forward_rows(&nodes).unwrap();
+        let explicit =
+            gcod_nn::quant::QuantizedModel::from_model(m.model(), gcod_graph::QuantWidth::I8)
+                .forward(m.graph())
+                .unwrap()
+                .gather_rows(&nodes)
+                .unwrap();
+        let int8 = m.with_precision(Precision::Int8);
+        assert!(int8.logits.lock_unpoisoned().is_none());
+        let answer = int8.forward_rows(&nodes).unwrap();
+        assert_eq!(answer, explicit, "int8 answers come from the integer pass");
+        assert_ne!(answer, fp32, "not from the stale fp32 rows");
+    }
+
+    #[test]
+    fn racing_first_requests_all_get_the_reference_bits() {
+        let reference = served();
+        let nodes = vec![1, 30, 59, 1];
+        let expected = reference
+            .model()
+            .forward_rows(reference.graph(), &nodes)
+            .unwrap();
+        let server = crate::Server::new().register(served());
+        let request = crate::ServeRequest::classify("sm-gcn", nodes);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        server.serve_one(&request).unwrap()
+                    })
+                })
+                .collect();
+            for racer in racers {
+                let response = racer.join().unwrap();
+                assert_eq!(response.as_classification().unwrap().logits, expected);
+            }
+        });
     }
 
     #[test]

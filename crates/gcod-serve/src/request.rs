@@ -24,10 +24,10 @@ impl Backend {
 /// One client request to the server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeRequest {
-    /// Classify the given nodes of the named served model's graph. Executes
-    /// on the CPU kernel path; compatible requests (same served model, hence
-    /// same dataset/model/precision) are coalesced into one fused forward
-    /// pass.
+    /// Classify the given nodes of the named served model's graph. Answered
+    /// from the model's full-graph logits (computed once, on the CPU kernel
+    /// path); compatible requests (same served model, hence same
+    /// dataset/model/precision) are coalesced into one fused gather.
     Classify {
         /// Name of the served model to query.
         model: String,

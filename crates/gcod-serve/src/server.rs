@@ -14,11 +14,17 @@
 //!              ▼           observed service time)     │
 //!        wait() blocks only      │                    ▼
 //!        when queue empty        ▼              Platform cost router
-//!        and nothing raised  fused forward_rows (cheapest / named
+//!        and nothing raised  one row gather     (cheapest / named
 //!                            per window          accelerator model)
 //!                                │                    │
 //!                                └──▶ Ticket.fulfill ◀┘
 //! ```
+//!
+//! A window's gather reads the served model's full-graph logits, which the
+//! model's first classification computes and every later one reuses (a
+//! [`ServedModel`] locally; worker-held activations behind a healthy
+//! [`ShardedModel`], which falls back to its own `ServedModel` when it
+//! degrades). No request after the first pays for a graph pass.
 //!
 //! The dispatcher never polls: it pops greedily, and when the queue is
 //! empty it blocks in [`gcod_runtime::Reactor::wait`] until a submission,
@@ -94,7 +100,7 @@ pub struct ServerStats {
     pub completed_err: u64,
     /// Dispatcher batches executed (each may fuse several requests).
     pub batches: u64,
-    /// Largest number of requests fused into one forward pass so far.
+    /// Largest number of requests fused into one gather so far.
     pub largest_batch: usize,
     /// Worker-recovery events the reactor observed (a shard supervisor
     /// respawned a dead worker or degraded to the local fallback).
@@ -247,20 +253,19 @@ impl Shared {
     }
 }
 
-/// One registered model: executed in-process or routed across shard
-/// workers. Classification treats both uniformly through
-/// [`forward_rows`](ModelEntry::forward_rows); perf prediction needs the
-/// single-process workload and is only available on local entries.
+/// One registered model: answered in-process or routed across shard
+/// workers. Either way the entry owns a [`ServedModel`] — the local plan a
+/// sharded model degrades to, and what perf prediction routes on.
 enum ModelEntry {
     Local(Box<ServedModel>),
     Sharded(Box<ShardedModel>),
 }
 
 impl ModelEntry {
-    fn name(&self) -> &str {
+    fn served(&self) -> &ServedModel {
         match self {
-            ModelEntry::Local(m) => m.name(),
-            ModelEntry::Sharded(m) => m.name(),
+            ModelEntry::Local(m) => m,
+            ModelEntry::Sharded(m) => m.served(),
         }
     }
 
@@ -268,15 +273,8 @@ impl ModelEntry {
     /// shard plan's contract, pinned by `tests/shard_differential.rs`).
     fn forward_rows(&self, nodes: &[usize]) -> Result<Tensor> {
         match self {
-            ModelEntry::Local(m) => Ok(m.model().forward_rows(m.graph(), nodes)?),
+            ModelEntry::Local(m) => m.forward_rows(nodes),
             ModelEntry::Sharded(m) => m.forward_rows(nodes),
-        }
-    }
-
-    fn as_local(&self) -> Option<&ServedModel> {
-        match self {
-            ModelEntry::Local(m) => Some(m),
-            ModelEntry::Sharded(_) => None,
         }
     }
 }
@@ -342,8 +340,8 @@ impl Server {
     /// Registers a sharded model (replacing any previous model of the same
     /// name): classification requests are routed across its shard workers,
     /// bit-identical to a local registration of the same trained model.
-    /// Perf-prediction requests against a sharded model report
-    /// [`ServeError::NoEligibleBackend`].
+    /// Perf-prediction requests route on the local plan the sharded model
+    /// keeps, exactly as for a local registration of that model.
     #[must_use]
     pub fn register_sharded(mut self, model: ShardedModel) -> Self {
         self.models.insert(
@@ -374,18 +372,12 @@ impl Server {
     pub fn serve_one(&self, request: &ServeRequest) -> Result<ServeResponse> {
         match request {
             ServeRequest::Classify { model, nodes } => {
-                let entry = self.lookup(model)?;
-                Ok(ServeResponse::Classification(classify(entry, nodes)?))
+                let logits = self.lookup(model)?.forward_rows(nodes)?;
+                let answer = classification(model, nodes.clone(), logits);
+                Ok(ServeResponse::Classification(answer))
             }
             ServeRequest::PredictPerf { model, backend } => {
-                let entry = self.lookup(model)?;
-                // Perf routing simulates the single-process workload; a
-                // sharded model has no eligible backend in the suite.
-                let served = entry
-                    .as_local()
-                    .ok_or_else(|| ServeError::NoEligibleBackend {
-                        model: entry.name().to_string(),
-                    })?;
+                let served = self.lookup(model)?.served();
                 Ok(ServeResponse::Perf(self.predict_perf(served, backend)?))
             }
         }
@@ -563,25 +555,16 @@ impl Server {
         }
     }
 
-    /// Runs one coalesced classification window as a single fused forward
-    /// pass, splitting the stacked logits back out per member. Falls back to
-    /// per-member execution when the fused pass fails (e.g. one member holds
-    /// an out-of-range node index) so a bad request cannot poison its batch
-    /// mates.
+    /// Answers one coalesced classification window with a single gather of
+    /// the stacked node lists, splitting the stacked logits back out per
+    /// member. Falls back to per-member execution when the fused gather
+    /// fails (e.g. one member holds an out-of-range node index) so a bad
+    /// request cannot poison its batch mates and each gets its own error.
     fn execute_classify_group(&self, shared: &Shared, model_name: &str, members: Vec<Submission>) {
         shared
             .stats
             .largest_batch
             .fetch_max(members.len(), Ordering::SeqCst);
-        let entry = match self.lookup(model_name) {
-            Ok(entry) => entry,
-            Err(e) => {
-                for member in members {
-                    finish(shared, member.completion, Err(e.clone()));
-                }
-                return;
-            }
-        };
         fn nodes_of(member: &Submission) -> &[usize] {
             match &member.request {
                 ServeRequest::Classify { nodes, .. } => nodes,
@@ -592,9 +575,10 @@ impl Server {
         let stacked_nodes: Vec<usize> = members.iter().flat_map(nodes_of).copied().collect();
         // gcod-check: allow(wall-clock) — service-time observation feeds the adaptive-batching estimate.
         let started = Instant::now();
-        let fused = entry
-            .forward_rows(&stacked_nodes)
-            .and_then(|stacked| split_stacked(&stacked, &lens).map_err(ServeError::from));
+        let fused = self
+            .lookup(model_name)
+            .and_then(|entry| entry.forward_rows(&stacked_nodes))
+            .and_then(|stacked| Ok(split_stacked(&stacked, &lens)?));
         match fused {
             Ok(pieces) => {
                 shared.observe_service_time(started.elapsed(), members.len());
@@ -602,8 +586,8 @@ impl Server {
                     let ServeRequest::Classify { nodes, .. } = member.request else {
                         unreachable!("perf routed separately")
                     };
-                    let response =
-                        ServeResponse::Classification(classification(entry, nodes, logits));
+                    let answer = classification(model_name, nodes, logits);
+                    let response = ServeResponse::Classification(answer);
                     finish(shared, member.completion, Ok(response));
                 }
             }
@@ -617,16 +601,11 @@ impl Server {
     }
 }
 
-/// Answers one classification against a (local or sharded) model entry.
-fn classify(entry: &ModelEntry, nodes: &[usize]) -> Result<Classification> {
-    let logits = entry.forward_rows(nodes)?;
-    Ok(classification(entry, nodes.to_vec(), logits))
-}
-
-/// Packages the logit rows `entry` produced for `nodes` as the answer.
-fn classification(entry: &ModelEntry, nodes: Vec<usize>, logits: Tensor) -> Classification {
+/// Packages the logit rows the model named `model` produced for `nodes` as
+/// the answer.
+fn classification(model: &str, nodes: Vec<usize>, logits: Tensor) -> Classification {
     Classification {
-        model: entry.name().to_string(),
+        model: model.to_string(),
         nodes,
         classes: logits.argmax_rows(),
         logits,
@@ -951,6 +930,28 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, ServeError::NoEligibleBackend { .. }));
+    }
+
+    #[test]
+    fn perf_prediction_on_a_sharded_model_matches_the_local_registration() {
+        let graph = GraphGenerator::new(5)
+            .generate(&DatasetProfile::custom("alpha", 70, 210, 8, 3))
+            .unwrap();
+        let model = GnnModel::new(ModelConfig::gcn(&graph), 5).unwrap();
+        let local = Server::new().register(ServedModel::new("m", graph.clone(), model.clone()));
+        let sharded =
+            ShardedModel::launch("m", &graph, &model, &crate::ShardOptions::new(2)).unwrap();
+        let sharded = Server::new().register_sharded(sharded);
+        // Auto-routed, and a split-aware accelerator neither registration
+        // carries a split for: the same answer and the same typed error.
+        for backend in [Backend::Auto, Backend::named("gcod")] {
+            let request = ServeRequest::PredictPerf {
+                model: "m".into(),
+                backend,
+            };
+            assert_eq!(sharded.serve_one(&request), local.serve_one(&request));
+        }
+        assert!(local.serve_one(&ServeRequest::predict_perf("m")).is_ok());
     }
 
     #[test]

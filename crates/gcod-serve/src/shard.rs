@@ -37,7 +37,8 @@
 //! (deterministic) pass from layer 0 — so recovery is bit-identical to an
 //! unfaulted run. When a shard exhausts its respawn budget the model
 //! *degrades*: the remaining workers are reaped and requests are answered
-//! from the retained single-process model, bit-identical and flagged
+//! by the [`ServedModel`] the router owns — the same cached-logits plan a
+//! local registration runs — bit-identical and flagged
 //! [`ShardHealth::Degraded`] in [`ShardTransportStats`]. In-flight
 //! requests always resolve — with rows, a typed error, or a fallback
 //! answer — never by hanging.
@@ -48,6 +49,7 @@
 //! by `tests/shard_differential.rs` and the chaos suites.
 
 use crate::error::{RejectReason, Result, ServeError};
+use crate::model::ServedModel;
 use gcod_graph::Graph;
 use gcod_nn::models::GnnModel;
 use gcod_nn::Tensor;
@@ -189,7 +191,7 @@ pub enum ShardHealth {
     #[default]
     Healthy,
     /// A shard exhausted its respawn budget: the fabric was torn down and
-    /// requests are answered by the retained single-process model
+    /// requests are answered by the router's local [`ServedModel`] plan
     /// (bit-identical, but without the sharded memory ceiling).
     Degraded,
 }
@@ -361,11 +363,8 @@ struct RouterState {
     /// pass so later requests skip straight to `Gather`.
     forward_done: bool,
     shut_down: bool,
-    /// The fabric was torn down; requests run on the local fallback.
+    /// The fabric was torn down; requests run on the local plan.
     degraded: bool,
-    /// Full-graph logits of the fallback model, computed on first
-    /// degraded request and cached (the graph is fixed).
-    fallback_logits: Option<Tensor>,
 }
 
 /// Per-shard outcome of [`ShardedModel::shutdown`].
@@ -453,6 +452,12 @@ enum Outage {
     Fatal(ServeError),
 }
 
+impl From<ServeError> for Outage {
+    fn from(err: ServeError) -> Self {
+        Outage::Fatal(err)
+    }
+}
+
 /// Capped exponential backoff between in-place RPC retries.
 fn backoff(policy: &SupervisorPolicy, attempt: u32) {
     let exp = attempt.saturating_sub(1).min(16);
@@ -467,18 +472,16 @@ fn backoff(policy: &SupervisorPolicy, attempt: u32) {
 }
 
 /// One served model executed across `k` shard workers; the drop-in sharded
-/// counterpart of [`ServedModel`](crate::ServedModel) for classification
-/// requests (perf-prediction routing needs the single-process workload and
-/// reports `NoEligibleBackend` on sharded models).
+/// counterpart of [`ServedModel`] (which it owns: the shard fabric is
+/// transport in front of that one local plan).
 pub struct ShardedModel {
-    name: String,
+    /// The local plan: what a degraded model answers from, what validates
+    /// node indices, and what perf prediction routes on. Costs one extra
+    /// copy of graph + weights on the router — the price of a fallback
+    /// that needs no worker.
+    served: ServedModel,
     plan: ShardPlan,
     options: ShardOptions,
-    /// Retained single-process copies backing the degraded path. Costs one
-    /// extra copy of graph + weights on the router — the price of a
-    /// fallback that needs no worker.
-    fallback_graph: Graph,
-    fallback_model: GnnModel,
     /// Serialises respawn cycles and lets shutdown block new ones — the
     /// begin/finish/await/close state machine model-checked in
     /// `tests/model_supervisor.rs`.
@@ -494,7 +497,7 @@ pub struct ShardedModel {
 impl std::fmt::Debug for ShardedModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedModel")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("shards", &self.plan.shards())
             .field("num_nodes", &self.plan.num_nodes())
             .field("halo_nodes", &self.plan.total_halo_nodes())
@@ -564,23 +567,11 @@ impl ShardedModel {
                 }
             }
         }
-        if degraded {
-            stats.degraded.store(true, Ordering::SeqCst);
-            for conn in &conns {
-                conn.shutdown_both();
-            }
-            conns.clear();
-            for worker in workers.drain(..) {
-                reap(worker);
-            }
-        }
 
-        Ok(ShardedModel {
-            name: name.into(),
+        let sharded = ShardedModel {
+            served: ServedModel::new(name, graph.clone(), model.clone()),
             plan,
             options: options.clone(),
-            fallback_graph: graph.clone(),
-            fallback_model: model.clone(),
             gate: RecoveryGate::new(),
             state: Mutex::new(RouterState {
                 conns,
@@ -591,12 +582,15 @@ impl ShardedModel {
                 respawns_used,
                 forward_done: false,
                 shut_down: false,
-                degraded,
-                fallback_logits: None,
+                degraded: false,
             }),
             stats,
             recovery_waker: Mutex::new(None),
-        })
+        };
+        if degraded {
+            sharded.degrade(&mut sharded.state.lock_unpoisoned());
+        }
+        Ok(sharded)
     }
 
     /// Binds a listener, spawns one worker, accepts its connection, arms
@@ -690,7 +684,12 @@ impl ShardedModel {
 
     /// The serving key (batching compatibility, like `ServedModel::name`).
     pub fn name(&self) -> &str {
-        &self.name
+        self.served.name()
+    }
+
+    /// The local plan this router fronts.
+    pub(crate) fn served(&self) -> &ServedModel {
+        &self.served
     }
 
     /// Number of worker shards.
@@ -708,7 +707,7 @@ impl ShardedModel {
         self.stats.snapshot()
     }
 
-    /// Whether the model has degraded to the local fallback path.
+    /// Whether the model has degraded to its local plan.
     pub fn is_degraded(&self) -> bool {
         self.state.lock_unpoisoned().degraded
     }
@@ -763,43 +762,62 @@ impl ShardedModel {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Shard`] for out-of-range nodes or protocol
-    /// violations, [`ServeError::Rejected`] with
+    /// [`ServeError::Nn`] for out-of-range nodes (raised before any RPC,
+    /// the same error a local model reports), [`ServeError::Shard`] for
+    /// protocol violations, [`ServeError::Rejected`] with
     /// [`RejectReason::ShuttingDown`] when a failure races
     /// [`shutdown`](ShardedModel::shutdown).
     pub fn forward_rows(&self, nodes: &[usize]) -> Result<Tensor> {
+        self.served.check_nodes(nodes)?;
         let depth = self.stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
         self.stats
             .peak_queue_depth
             .fetch_max(depth, Ordering::SeqCst);
         let result = self.forward_rows_inner(nodes);
         self.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        if result.is_ok() {
+            self.stats
+                .rows_gathered
+                .fetch_add(nodes.len() as u64, Ordering::SeqCst);
+        }
         result
     }
 
+    /// Routes one request: over the fabric while it stands, and from the
+    /// local plan — the same cached-logits gather a local registration
+    /// serves, hence bit-identical — once it has degraded (possibly while
+    /// answering this very request).
     fn forward_rows_inner(&self, nodes: &[usize]) -> Result<Tensor> {
         let mut state = self.state.lock_unpoisoned();
         if state.shut_down {
             return Err(protocol(format!(
                 "sharded model `{}` is shut down",
-                self.name
+                self.name()
             )));
         }
-        if state.degraded {
-            return self.fallback_rows(&mut state, nodes);
-        }
-        if !state.forward_done {
-            match self.run_full_forward(&mut state) {
-                Ok(()) => {
-                    state.forward_done = true;
-                    self.stats.forward_passes.fetch_add(1, Ordering::SeqCst);
-                }
-                Err(Outage::Degrade) => {
-                    self.degrade(&mut state);
-                    return self.fallback_rows(&mut state, nodes);
-                }
+        if !state.degraded {
+            match self.fabric_rows(&mut state, nodes) {
+                Ok(rows) => return Ok(rows),
                 Err(Outage::Fatal(e)) => return Err(e),
+                Err(Outage::Degrade) => self.degrade(&mut state),
             }
+        }
+        self.stats.fallbacks.fetch_add(1, Ordering::SeqCst);
+        self.served.forward_rows(nodes)
+    }
+
+    /// Answers one request from the shard workers: drives the layer
+    /// lockstep if no pass has completed yet, then gathers the requested
+    /// rows from their owning shards.
+    fn fabric_rows(
+        &self,
+        state: &mut RouterState,
+        nodes: &[usize],
+    ) -> std::result::Result<Tensor, Outage> {
+        if !state.forward_done {
+            self.run_full_forward(state)?;
+            state.forward_done = true;
+            self.stats.forward_passes.fetch_add(1, Ordering::SeqCst);
         }
 
         // Group the request by owning shard, remembering where each row of
@@ -808,7 +826,7 @@ impl ShardedModel {
         let mut shard_rows: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut placement = Vec::with_capacity(nodes.len());
         for &node in nodes {
-            let (shard, rank) = self.plan.locate(node)?;
+            let (shard, rank) = self.plan.locate(node).map_err(ServeError::from)?;
             placement.push((shard, shard_rows[shard].len()));
             shard_rows[shard].push(rank as u32);
         }
@@ -819,20 +837,12 @@ impl ShardedModel {
             }
             let req = ShardRequest::Gather { rows: rows.clone() };
             let piece = loop {
-                match self.rpc(&mut state, shard, &req) {
+                match self.rpc(state, shard, &req) {
                     Ok(ShardReply::Rows(rows)) => break rows,
-                    Ok(other) => return Err(unexpected(shard, "Rows", &other)),
-                    Err(RpcFail::Fatal(e)) => return Err(e),
-                    Err(RpcFail::Respawn) => {
-                        match self.respawn(&mut state, shard) {
-                            Ok(()) => {} // fresh worker, replayed — reissue
-                            Err(Outage::Degrade) => {
-                                self.degrade(&mut state);
-                                return self.fallback_rows(&mut state, nodes);
-                            }
-                            Err(Outage::Fatal(e)) => return Err(e),
-                        }
-                    }
+                    Ok(other) => return Err(unexpected(shard, "Rows", &other).into()),
+                    Err(RpcFail::Fatal(e)) => return Err(e.into()),
+                    // Fresh worker, replayed — reissue.
+                    Err(RpcFail::Respawn) => self.respawn(state, shard)?,
                 }
             };
             gathered[shard] = Some(piece);
@@ -847,32 +857,11 @@ impl ShardedModel {
                 return Err(protocol(format!(
                     "shard {shard}: Gather answer shape {:?} does not cover row {offset}",
                     piece.shape()
-                )));
+                ))
+                .into());
             }
             out.row_mut(row).copy_from_slice(piece.row(offset));
         }
-        self.stats
-            .rows_gathered
-            .fetch_add(nodes.len() as u64, Ordering::SeqCst);
-        Ok(out)
-    }
-
-    /// Answers one request from the retained single-process model. The
-    /// full-graph logits are computed once and cached (the graph is
-    /// fixed), so degraded serving is a row gather — and `forward_rows` is
-    /// defined as exactly that gather, so the answer is bit-identical.
-    fn fallback_rows(&self, state: &mut RouterState, nodes: &[usize]) -> Result<Tensor> {
-        self.stats.fallbacks.fetch_add(1, Ordering::SeqCst);
-        if state.fallback_logits.is_none() {
-            state.fallback_logits = Some(self.fallback_model.forward(&self.fallback_graph)?);
-        }
-        let Some(logits) = state.fallback_logits.as_ref() else {
-            return Err(protocol("fallback logits missing after compute".into()));
-        };
-        let out = logits.gather_rows(nodes)?;
-        self.stats
-            .rows_gathered
-            .fetch_add(nodes.len() as u64, Ordering::SeqCst);
         Ok(out)
     }
 
@@ -1132,9 +1121,7 @@ impl ShardedModel {
                 }
                 if layer + 1 < num_layers {
                     for shard in 0..k {
-                        let halo = self
-                            .halo_for(shard, layer, &exports)
-                            .map_err(Outage::Fatal)?;
+                        let halo = self.halo_for(shard, layer, &exports)?;
                         match self.rpc(state, shard, &ShardRequest::Advance { halo }) {
                             Ok(ShardReply::Advanced) => {}
                             Ok(other) => {
@@ -1352,14 +1339,31 @@ mod tests {
     #[test]
     fn out_of_range_nodes_are_typed_errors() {
         let (graph, model) = graph_and_model();
-        let sharded =
-            ShardedModel::launch("m", &graph, &model, &ShardOptions::new(2)).expect("launch");
-        assert!(matches!(
-            sharded.forward_rows(&[10_000]),
-            Err(ServeError::Shard(_))
-        ));
-        // The router survives the bad request.
-        assert_eq!(sharded.forward_rows(&[0]).expect("forward").rows(), 1);
+        let local = ServedModel::new("m", graph.clone(), model.clone());
+        let expected = local.forward_rows(&[0, 10_000]).expect_err("local");
+        // Raised up front, yet the very error the uncached gather reports.
+        let reference = model
+            .forward_rows(&graph, &[0, 10_000])
+            .expect_err("oracle");
+        assert_eq!(expected, ServeError::Nn(reference));
+
+        let policy = SupervisorPolicy {
+            respawn_budget: 0,
+            ..fast_policy()
+        };
+        let options = ShardOptions::new(2).with_policy(policy);
+        let sharded = ShardedModel::launch("m", &graph, &model, &options).expect("launch");
+        // Healthy and cold: rejected before any RPC, let alone the lockstep.
+        let frames = sharded.stats().frames_sent;
+        assert_eq!(sharded.forward_rows(&[0, 10_000]), Err(expected.clone()));
+        assert_eq!(sharded.stats().frames_sent, frames);
+        // The router survives the bad request; with a dead worker and no
+        // respawn budget the good one degrades it.
+        sharded.kill_worker(0).expect("kill");
+        assert_eq!(sharded.forward_rows(&[0]).expect("fallback").rows(), 1);
+        assert!(sharded.is_degraded());
+        assert_eq!(sharded.forward_rows(&[0, 10_000]), Err(expected));
+        assert_eq!(sharded.stats().forward_passes, 0);
         sharded.shutdown().expect("shutdown");
     }
 
@@ -1496,6 +1500,31 @@ mod tests {
         let report = sharded.shutdown().expect("shutdown");
         assert!(report.degraded);
         assert!(report.outcomes.is_empty(), "fabric already reaped");
+    }
+
+    #[test]
+    fn launch_failure_past_the_budget_yields_a_degraded_model() {
+        let (graph, model) = graph_and_model();
+        let nodes: Vec<usize> = vec![3, 50, 119, 3];
+        let expected = model.forward_rows(&graph, &nodes).expect("oracle");
+        // Cut shard 1's `Load` (its first sent frame) short and sever: the
+        // handshake fails after shard 0 is already up, and with no respawn
+        // budget the launch degrades — reaping shard 0 — instead of erroring.
+        let faults = FaultPlan::new().with(1, 1, FaultAction::TruncateSend { keep: 4 });
+        let policy = SupervisorPolicy {
+            respawn_budget: 0,
+            ..fast_policy()
+        };
+        let options = ShardOptions::new(2).with_faults(faults).with_policy(policy);
+        let sharded = ShardedModel::launch("m", &graph, &model, &options).expect("launch");
+        assert!(sharded.is_degraded());
+        assert_eq!(sharded.stats().health, ShardHealth::Degraded);
+        let got = sharded.forward_rows(&nodes).expect("local plan");
+        assert_eq!(got.data(), expected.data());
+        assert_eq!(sharded.stats().forward_passes, 0);
+        let report = sharded.shutdown().expect("shutdown");
+        assert!(report.degraded);
+        assert!(report.outcomes.is_empty(), "fabric reaped at launch");
     }
 
     #[test]

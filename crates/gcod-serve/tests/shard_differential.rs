@@ -60,6 +60,56 @@ fn sharded_serving_is_bit_identical_for_k_1_2_4() {
 }
 
 #[test]
+fn sharded_and_degraded_answers_match_the_uncached_reference_forward() {
+    // The `serve_one` oracle above gathers from cached logits, as does a
+    // degraded router; `GnnModel::forward_rows` recomputes the whole graph
+    // on every call and shares nothing with either.
+    let (graph, model) = workloads().remove(0);
+    let queries = query_sets(graph.num_nodes());
+    let requests: Vec<ServeRequest> = queries
+        .iter()
+        .map(|nodes| ServeRequest::classify("m", nodes.clone()))
+        .collect();
+    // (shards, degrade): k = 1 and 2 healthy, then k = 2 with a dead worker
+    // and no respawn budget, so the first request degrades the model.
+    for (k, degrade) in [(1usize, false), (2, false), (2, true)] {
+        let build = || {
+            let mut options = ShardOptions::new(k);
+            if degrade {
+                options.policy.respawn_budget = 0;
+            }
+            let sharded = ShardedModel::launch("m", &graph, &model, &options).expect("launch");
+            if degrade {
+                sharded.kill_worker(0).expect("kill");
+            }
+            Server::new().register_sharded(sharded)
+        };
+        let sequential = build();
+        let handle = build().spawn();
+        handle.pause();
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|r| {
+                handle
+                    .submit(r.clone(), SubmitOptions::default())
+                    .expect("submit")
+            })
+            .collect();
+        handle.resume();
+        for ((nodes, request), ticket) in queries.iter().zip(&requests).zip(tickets) {
+            let expected = model.forward_rows(&graph, nodes).expect("reference");
+            for response in [sequential.serve_one(request), ticket.wait()] {
+                let response = response.expect("answer");
+                let answer = response.as_classification().expect("classification");
+                assert_eq!(answer.logits, expected, "k={k} degrade={degrade}");
+            }
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.shard.fallbacks > 0, degrade, "k={k}");
+    }
+}
+
+#[test]
 fn tcp_transport_matches_uds_bit_for_bit() {
     let (graph, model) = workloads().remove(0);
     let request = ServeRequest::classify("m", (0..graph.num_nodes()).collect());

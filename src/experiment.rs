@@ -322,10 +322,12 @@ impl Experiment {
     /// each owning one partition of the tuned graph.
     ///
     /// The returned [`ShardedModel`](gcod_serve::ShardedModel) is the
-    /// drop-in sharded counterpart of [`serve`](Experiment::serve) for
-    /// classification requests — register it with
+    /// drop-in sharded counterpart of [`serve`](Experiment::serve) —
+    /// register it with
     /// [`Server::register_sharded`](gcod_serve::Server::register_sharded)
-    /// and answers are bit-identical to the single-process path. To run
+    /// and answers are bit-identical to the single-process path (perf
+    /// prediction routes on the baseline workload: no GCoD split is
+    /// attached, so the accelerator platforms are not eligible). To run
     /// real worker *processes* instead, launch via
     /// [`ShardedModel::launch`](gcod_serve::ShardedModel::launch) with
     /// [`ShardOptions::with_worker_bin`](gcod_serve::ShardOptions::with_worker_bin)

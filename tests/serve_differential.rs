@@ -6,7 +6,9 @@
 //! The oracle is [`Server::serve_one`], which executes each request alone on
 //! the calling thread. Every spawned-server run below compares full
 //! [`ServeResponse`] values (logits included) against it with `assert_eq!`,
-//! i.e. bitwise equality of every `f32`.
+//! i.e. bitwise equality of every `f32`. Both gather from the served model's
+//! cached logits, so one case pins the two of them against the uncached
+//! `GnnModel::forward_rows` as well.
 //!
 //! Worker counts are exercised two ways: per-model lane counts {1, 2, auto}
 //! inside one process here, and the whole suite re-runs under
@@ -134,6 +136,40 @@ fn batched_inference_is_bit_identical_across_worker_counts() {
         assert_eq!(sequential, expected, "sequential, workers={workers}");
         let batched = run_batched(build_server(workers, ServerConfig::default()), &requests);
         assert_eq!(batched, expected, "batched, workers={workers}");
+    }
+}
+
+#[test]
+fn answers_match_the_uncached_reference_forward_at_fp32_and_int8() {
+    // `serve_one` shares the served model's cached logits with the batched
+    // path, so it cannot vouch for the cache itself. This oracle can:
+    // `GnnModel::forward_rows` recomputes the whole graph on every call.
+    let graph = GraphGenerator::new(44)
+        .generate(&DatasetProfile::custom("ref", 120, 480, 10, 4))
+        .expect("generate");
+    let model = GnnModel::new(ModelConfig::gcn(&graph), 44).expect("model");
+    let queries: Vec<Vec<usize>> = vec![vec![0, 5, 9], vec![9, 9, 119], vec![60], vec![5, 0]];
+    let requests: Vec<ServeRequest> = queries
+        .iter()
+        .map(|nodes| ServeRequest::classify("ref-gcn", nodes.clone()))
+        .collect();
+    for precision in [Precision::Fp32, Precision::Int8] {
+        let reference = model.clone().with_precision(precision);
+        let build = || {
+            let served = ServedModel::new("ref-gcn", graph.clone(), model.clone());
+            Server::new().register(served.with_precision(precision))
+        };
+        let sequential = oracle_responses(&build(), &requests);
+        let batched = run_batched(build(), &requests);
+        for ((nodes, sequential), batched) in queries.iter().zip(sequential).zip(batched) {
+            let expected = reference.forward_rows(&graph, nodes).expect("reference");
+            for response in [sequential, batched] {
+                let response = response.expect("answer");
+                let answer = response.as_classification().expect("classification");
+                assert_eq!(answer.logits, expected, "{precision}, nodes {nodes:?}");
+                assert_eq!(answer.classes, expected.argmax_rows());
+            }
+        }
     }
 }
 
