@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cycle count and utilization of one branch for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BranchOutcome {
+pub(crate) struct BranchOutcome {
     /// Compute cycles on the branch's critical path.
     pub cycles: u64,
     /// PE utilization of the branch (work / capacity at the critical path).
@@ -36,7 +36,7 @@ pub struct BranchOutcome {
 /// non-zero contributes `out_dim` MACs), `element_bytes` the per-scalar size.
 /// Returns the branch outcome plus the chunk allocations used (needed for
 /// reporting).
-pub fn denser_branch(
+pub(crate) fn denser_branch(
     config: &AcceleratorConfig,
     split: &SplitWorkload,
     out_dim: usize,
@@ -83,7 +83,7 @@ pub fn denser_branch(
 }
 
 /// Simulates the sparser branch for one layer.
-pub fn sparser_branch(
+pub(crate) fn sparser_branch(
     config: &AcceleratorConfig,
     split: &SplitWorkload,
     out_dim: usize,

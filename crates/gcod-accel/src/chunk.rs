@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Resources granted to one chunk (sub-accelerator).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChunkAllocation {
+pub(crate) struct ChunkAllocation {
     /// Degree class this chunk serves.
     pub class: usize,
     /// Number of PEs.
@@ -30,7 +30,7 @@ pub struct ChunkAllocation {
 
 impl ChunkAllocation {
     /// Ideal compute time of this chunk in cycles (MACs / PEs).
-    pub fn compute_cycles(&self) -> u64 {
+    pub(crate) fn compute_cycles(&self) -> u64 {
         if self.pes == 0 {
             return u64::MAX;
         }
@@ -44,7 +44,7 @@ impl ChunkAllocation {
 /// `macs_per_class` and `bytes_per_class` must have the same length (the
 /// number of classes). Every chunk receives at least one PE and a minimal
 /// buffer so that empty classes do not divide by zero.
-pub fn allocate_chunks(
+pub(crate) fn allocate_chunks(
     config: &AcceleratorConfig,
     macs_per_class: &[u64],
     bytes_per_class: &[u64],
@@ -102,7 +102,7 @@ pub fn allocate_chunks(
 /// The denser branch finishes when its slowest chunk finishes; this returns
 /// that critical-path cycle count together with the utilization it implies
 /// (1.0 = perfectly balanced chunks).
-pub fn denser_branch_cycles(allocations: &[ChunkAllocation]) -> (u64, f64) {
+pub(crate) fn denser_branch_cycles(allocations: &[ChunkAllocation]) -> (u64, f64) {
     if allocations.is_empty() {
         return (0, 1.0);
     }

@@ -89,7 +89,7 @@ impl AcceleratorConfig {
     }
 
     /// Cycle time in nanoseconds.
-    pub fn cycle_ns(&self) -> f64 {
+    pub(crate) fn cycle_ns(&self) -> f64 {
         1_000.0 / self.clock_mhz
     }
 
@@ -99,18 +99,18 @@ impl AcceleratorConfig {
     }
 
     /// Off-chip bandwidth in bytes per second.
-    pub fn off_chip_bytes_per_second(&self) -> f64 {
+    pub(crate) fn off_chip_bytes_per_second(&self) -> f64 {
         self.off_chip_gbps * 1.0e9
     }
 
     /// PEs assigned to the denser branch.
-    pub fn denser_pes(&self) -> usize {
+    pub(crate) fn denser_pes(&self) -> usize {
         let sparser = (self.num_pes as f64 * self.sparser_pe_fraction) as usize;
         self.num_pes - sparser.min(self.num_pes)
     }
 
     /// PEs assigned to the sparser branch.
-    pub fn sparser_pes(&self) -> usize {
+    pub(crate) fn sparser_pes(&self) -> usize {
         self.num_pes - self.denser_pes()
     }
 }

@@ -8,12 +8,12 @@
 //!
 //! * [`config`] — hardware configurations (the paper's VCU128 instance, the
 //!   8-bit variant with 10240 PEs, and custom configurations),
-//! * [`chunk`] — chunk-based sub-accelerators with resources allocated
+//! * `chunk` — chunk-based sub-accelerators with resources allocated
 //!   proportionally to their assigned workload,
-//! * [`branches`] — the denser branch (block-diagonal subgraphs, one chunk
+//! * `branches` — the denser branch (block-diagonal subgraphs, one chunk
 //!   per degree class) and the sparser branch (off-diagonal CSC workload with
 //!   query-based weight forwarding),
-//! * [`pipeline`] — the efficiency-aware and resource-aware inter-phase
+//! * `pipeline` — the efficiency-aware and resource-aware inter-phase
 //!   pipelines (Fig. 7, Tab. II),
 //! * [`simulator`] — the top-level [`GcodAccelerator`] that ties everything
 //!   together behind the shared [`gcod_platform::Platform`] contract.
@@ -52,11 +52,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod branches;
-pub mod chunk;
-pub mod compiler;
+mod branches;
+mod chunk;
 pub mod config;
-pub mod pipeline;
+mod pipeline;
 pub mod simulator;
 
 pub use simulator::GcodAccelerator;

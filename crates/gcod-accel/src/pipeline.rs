@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// The pipeline actually used for a layer after `Auto` resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ResolvedPipeline {
+pub(crate) enum ResolvedPipeline {
     /// Efficiency-aware (full aggregation output buffered on chip).
     EfficiencyAware,
     /// Resource-aware (one output column buffered on chip).
@@ -26,7 +26,7 @@ pub enum ResolvedPipeline {
 
 /// Per-layer memory behaviour implied by the chosen pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipelinePlan {
+pub(crate) struct PipelinePlan {
     /// The pipeline chosen for this layer.
     pub pipeline: ResolvedPipeline,
     /// On-chip bytes needed for the aggregation output.
@@ -40,7 +40,7 @@ pub struct PipelinePlan {
 }
 
 /// Chooses the pipeline for one layer and derives its memory plan.
-pub fn plan_layer(config: &AcceleratorConfig, layer: &LayerWorkload) -> PipelinePlan {
+pub(crate) fn plan_layer(config: &AcceleratorConfig, layer: &LayerWorkload) -> PipelinePlan {
     let full_output = layer.output_feature_bytes;
     // Reserve half the on-chip memory for adjacency/weights/features; the
     // output buffer competes for the other half.

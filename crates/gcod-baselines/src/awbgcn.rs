@@ -17,7 +17,7 @@ use gcod_platform::energy::EnergyModel;
 const AWBGCN_PEAK_MACS: f64 = 4096.0 * 330.0e6;
 
 /// The AWB-GCN accelerator model.
-pub fn awb_gcn() -> PlatformSpec {
+pub(crate) fn awb_gcn() -> PlatformSpec {
     PlatformSpec {
         name: "awb-gcn".to_string(),
         peak_macs_per_second: AWBGCN_PEAK_MACS,

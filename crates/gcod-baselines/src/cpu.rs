@@ -17,7 +17,7 @@ use gcod_platform::energy::EnergyModel;
 const XEON_PEAK_MACS: f64 = 24.0 * 2.5e9 * 8.0;
 
 /// PyTorch Geometric on the Xeon CPU.
-pub fn pyg_cpu() -> PlatformSpec {
+pub(crate) fn pyg_cpu() -> PlatformSpec {
     PlatformSpec {
         name: "pyg-cpu".to_string(),
         peak_macs_per_second: XEON_PEAK_MACS,
@@ -33,7 +33,7 @@ pub fn pyg_cpu() -> PlatformSpec {
 }
 
 /// Deep Graph Library on the Xeon CPU.
-pub fn dgl_cpu() -> PlatformSpec {
+pub(crate) fn dgl_cpu() -> PlatformSpec {
     PlatformSpec {
         name: "dgl-cpu".to_string(),
         combination_efficiency: 0.10,

@@ -45,17 +45,17 @@ fn deepburning(
 }
 
 /// Deepburning-GL on the Zynq ZC706 (220 MHz, 900 DSPs, 12.8 GB/s DDR3).
-pub fn zc706() -> PlatformSpec {
+pub(crate) fn zc706() -> PlatformSpec {
     deepburning("zc706", 900.0, 150.0e6, 19.2, 12.8, 10.0)
 }
 
 /// Deepburning-GL on the Kintex KCU1500 (5520 DSPs, 76.8 GB/s DDR4).
-pub fn kcu1500() -> PlatformSpec {
+pub(crate) fn kcu1500() -> PlatformSpec {
     deepburning("kcu1500", 5520.0, 200.0e6, 75.9, 76.8, 25.0)
 }
 
 /// Deepburning-GL on the Alveo U50 (5952 DSPs, 316 GB/s HBM2).
-pub fn alveo_u50() -> PlatformSpec {
+pub(crate) fn alveo_u50() -> PlatformSpec {
     deepburning("alveo-u50", 5952.0, 200.0e6, 227.3, 316.0, 50.0)
 }
 

@@ -15,7 +15,7 @@ use gcod_platform::energy::EnergyModel;
 const RTX8000_PEAK_MACS: f64 = 4352.0 * 1.35e9;
 
 /// PyTorch Geometric on the RTX 8000.
-pub fn pyg_gpu() -> PlatformSpec {
+pub(crate) fn pyg_gpu() -> PlatformSpec {
     PlatformSpec {
         name: "pyg-gpu".to_string(),
         peak_macs_per_second: RTX8000_PEAK_MACS,
@@ -33,7 +33,7 @@ pub fn pyg_gpu() -> PlatformSpec {
 /// Deep Graph Library on the RTX 8000. DGL's GPU kernels carry a little more
 /// per-layer graph-preparation overhead than PyG's, matching the paper's
 /// ordering (PyG-GPU speedups > DGL-GPU speedups over the same CPU anchor).
-pub fn dgl_gpu() -> PlatformSpec {
+pub(crate) fn dgl_gpu() -> PlatformSpec {
     PlatformSpec {
         name: "dgl-gpu".to_string(),
         aggregation_efficiency: 0.025,

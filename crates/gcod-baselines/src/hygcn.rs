@@ -17,7 +17,7 @@ use gcod_platform::energy::EnergyModel;
 const HYGCN_PEAK_MACS: f64 = (32.0 * 16.0 + 8.0 * 128.0) * 1.0e9;
 
 /// The HyGCN accelerator model.
-pub fn hygcn() -> PlatformSpec {
+pub(crate) fn hygcn() -> PlatformSpec {
     PlatformSpec {
         name: "hygcn".to_string(),
         peak_macs_per_second: HYGCN_PEAK_MACS,

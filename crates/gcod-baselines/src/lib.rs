@@ -7,15 +7,15 @@
 //! platform model parameterised with its Table V system configuration plus
 //! the microarchitectural behaviour that differentiates it:
 //!
-//! * CPUs/GPUs ([`cpu`], [`gpu`]) are rooflines with framework-efficiency
+//! * CPUs/GPUs (`cpu`, `gpu`) are rooflines with framework-efficiency
 //!   factors for the irregular aggregation phase,
-//! * HyGCN ([`hygcn`]) uses *gathered* aggregation: neighbour features are
+//! * HyGCN (`hygcn`) uses *gathered* aggregation: neighbour features are
 //!   fetched per edge, so feature traffic scales with the edge count and is
 //!   only partially absorbed by its window-sliding locality optimisation,
-//! * AWB-GCN ([`awbgcn`]) uses *distributed* aggregation with runtime
+//! * AWB-GCN (`awbgcn`) uses *distributed* aggregation with runtime
 //!   workload rebalancing: good utilization but the full intermediate
 //!   aggregation buffer spills off chip for large graphs,
-//! * the Deepburning-GL FPGAs ([`fpga`]) are generic DSP rooflines.
+//! * the Deepburning-GL FPGAs (`fpga`) are generic DSP rooflines.
 //!
 //! All models return the same [`gcod_platform::report::PerfReport`] as the GCoD
 //! simulator, so the benchmark harness can compare them directly.
@@ -46,11 +46,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod awbgcn;
-pub mod cpu;
-pub mod fpga;
-pub mod gpu;
-pub mod hygcn;
+mod awbgcn;
+mod cpu;
+mod fpga;
+mod gpu;
+mod hygcn;
 mod platform;
 pub mod suite;
 

@@ -8,7 +8,7 @@ use gcod_platform::Platform;
 
 /// All nine baseline platforms of Fig. 9/10: PyG/DGL on CPU and GPU, HyGCN,
 /// AWB-GCN and the three Deepburning-GL FPGAs.
-pub fn all_baselines() -> Vec<PlatformSpec> {
+pub(crate) fn all_baselines() -> Vec<PlatformSpec> {
     vec![
         cpu::pyg_cpu(),
         cpu::dgl_cpu(),

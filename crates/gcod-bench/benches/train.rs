@@ -1,35 +1,30 @@
 //! End-to-end training benchmark: wall-clock per epoch of the full GCN
-//! training pass (sparse aggregation + dense combination + backward) swept
-//! over worker counts × datasets on the persistent `gcod_runtime` pool.
+//! training pass (sparse aggregation + dense combination + backward) across
+//! datasets on the persistent `gcod_runtime` pool.
 //!
 //! Each case trains a fresh 2-layer GCN with the `parallel-csr` aggregation
-//! kernel for a fixed epoch budget at an explicit worker-lane count (`w1`,
-//! `w2`, and `auto` = the pool's lane count). Worker count is
-//! bit-deterministic — every sweep point computes identical logits — so the
-//! only thing this bench measures is wall-clock. The case list and fixtures
-//! live in [`gcod_bench::sweeps`], shared with the `bench_gate` CI binary.
+//! kernel for a fixed epoch budget at the pool's own lane count (`auto`).
+//! Worker count is bit-deterministic and the differential suites pin that,
+//! so this bench measures wall-clock only. The case list and fixtures live
+//! in [`gcod_bench::sweeps`], shared with the `bench_gate` CI binary.
 //!
 //! Writes a machine-readable summary to `target/BENCH_train.json` **and**
 //! the repo-root `BENCH_train.json` tracked across PRs (override both with
 //! the `BENCH_TRAIN_JSON` environment variable), recording the median
-//! per-epoch time of each case and its speedup over the single-worker run.
-//! On single-core hardware every worker count degrades gracefully to the
-//! inline path, so the expected speedup there is ~1.0 (parity); the ≥1.5×
-//! epoch speedups show up on multi-core machines. Run the sweep with
+//! per-epoch time of each case. Run the sweep with
 //! `cargo bench --bench train`; CI smokes it with
 //! `cargo bench --bench train -- --test` (one sample, no JSON).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gcod_bench::sweeps::{
-    train_graph, train_template, train_trainer, worker_label, TRAIN_DATASETS, TRAIN_EPOCHS,
-    TRAIN_WORKER_COUNTS,
+    train_graph, train_template, train_trainer, TRAIN_DATASETS, TRAIN_EPOCHS,
 };
 use gcod_runtime::Pool;
 
 fn bench_train(c: &mut Criterion) {
-    // The auto (`workers = 0`) rows resolve to the global pool's lane count.
-    // Resolve it exactly once, here, and reuse it for the JSON rows — the
-    // execution path resolves 0 through the very same pool, so the recorded
+    // The `auto` rows resolve to the global pool's lane count. Resolve it
+    // exactly once, here, and reuse it for the JSON rows — the execution
+    // path resolves 0 through the very same pool, so the recorded
     // `resolved_workers` can never drift from what the training actually ran
     // with (on any core count).
     let resolved_auto_workers = Pool::global().workers();
@@ -42,15 +37,13 @@ fn bench_train(c: &mut Criterion) {
         // Built once per case: the timed closure clones it (a plain memcpy)
         // so the samples measure the training loop, not weight initialisation.
         let template = train_template(&graph);
-        for &workers in TRAIN_WORKER_COUNTS {
-            let id = BenchmarkId::new(format!("gcn-{label}"), worker_label(workers));
-            group.bench_with_input(id, &workers, |b, &workers| {
-                b.iter(|| {
-                    let mut model = template.clone().with_workers(workers);
-                    trainer.fit(&mut model, &graph).expect("training succeeds")
-                });
+        let id = BenchmarkId::new(format!("gcn-{label}"), "auto");
+        group.bench_with_input(id, &template, |b, template| {
+            b.iter(|| {
+                let mut model = template.clone();
+                trainer.fit(&mut model, &graph).expect("training succeeds")
             });
-        }
+        });
     }
     group.finish();
 
@@ -64,46 +57,27 @@ fn bench_train(c: &mut Criterion) {
 }
 
 /// Renders the recorded medians as JSON by hand (the vendored serde shim has
-/// no serializer): one entry per dataset × worker count with the per-epoch
-/// median and the speedup over the single-worker (`w1`) run. The `auto`
-/// rows record `resolved_auto_workers`, the single upfront `Pool::global()`
-/// resolution.
+/// no serializer): one entry per dataset with the per-epoch median and
+/// `resolved_auto_workers`, the single upfront `Pool::global()` resolution.
 fn render_summary(c: &Criterion, resolved_auto_workers: usize) -> String {
-    let single_worker_ns = |dataset: &str| {
-        let label = format!("train/gcn-{dataset}/w1");
-        c.results()
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, d)| d.as_nanos())
-    };
     let mut entries = Vec::new();
     for (label, median) in c.results() {
-        // Labels are "train/gcn-<dataset>/<workers>".
-        let mut parts = label.splitn(3, '/');
-        let (Some(_), Some(case), Some(workers)) = (parts.next(), parts.next(), parts.next())
+        // Labels are "train/gcn-<dataset>/auto".
+        let Some(dataset) = label
+            .strip_prefix("train/gcn-")
+            .and_then(|rest| rest.strip_suffix("/auto"))
         else {
-            continue;
-        };
-        let Some(dataset) = case.strip_prefix("gcn-") else {
             continue;
         };
         let nodes = TRAIN_DATASETS
             .iter()
             .find(|(l, ..)| *l == dataset)
             .map_or(0, |&(_, n, ..)| n);
-        let resolved_workers = if workers == "auto" {
-            resolved_auto_workers
-        } else {
-            workers.trim_start_matches('w').parse().unwrap_or(1)
-        };
         let epoch_ms = median.as_nanos() as f64 / TRAIN_EPOCHS as f64 / 1e6;
-        let speedup = single_worker_ns(dataset)
-            .map(|base| base as f64 / median.as_nanos().max(1) as f64)
-            .unwrap_or(1.0);
         entries.push(format!(
-            "  {{\"dataset\": \"{dataset}\", \"nodes\": {nodes}, \"workers\": \"{workers}\", \
-             \"resolved_workers\": {resolved_workers}, \"epochs\": {TRAIN_EPOCHS}, \
-             \"epoch_ms\": {epoch_ms:.3}, \"speedup_over_w1\": {speedup:.3}}}"
+            "  {{\"dataset\": \"{dataset}\", \"nodes\": {nodes}, \"workers\": \"auto\", \
+             \"resolved_workers\": {resolved_auto_workers}, \"epochs\": {TRAIN_EPOCHS}, \
+             \"epoch_ms\": {epoch_ms:.3}}}"
         ));
     }
     format!("[\n{}\n]\n", entries.join(",\n"))

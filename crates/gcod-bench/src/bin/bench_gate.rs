@@ -22,11 +22,11 @@
 //! must absorb the hardware delta between that machine and the runner
 //! (hence the generous defaults, and CI's wider override). The
 //! **relative** columns (`speedup_over_naive` per SpMM kernel,
-//! `speedup_over_w1` per training worker count, `bytes_moved_ratio` per
-//! quantized precision, `halo_bytes` per shard split) are recomputed
-//! deterministically and gated in their better direction — they are
-//! machine-independent, so a drift there is a real algorithmic regression
-//! no matter how slow the runner is (the deterministic ones hold exactly).
+//! `bytes_moved_ratio` per quantized precision, `halo_bytes` per shard
+//! split) are recomputed deterministically and gated in their better
+//! direction — they are machine-independent, so a drift there is a real
+//! algorithmic regression no matter how slow the runner is (the
+//! deterministic ones hold exactly).
 //!
 //! Run it the way CI does: `cargo run --release -p gcod-bench --bin
 //! bench_gate`.
@@ -126,7 +126,6 @@ fn main() {
     let shard_halo = sweeps::shard_halo_byte_rows();
     let quant_bytes = sweeps::quant_bytes_moved_rows();
     let spmm_rel = sweeps::relative_spmm_rows(&spmm);
-    let train_rel = sweeps::relative_train_rows(&train);
 
     let specs = [
         GateSpec {
@@ -199,15 +198,6 @@ fn main() {
             key_fields: &["kernel", "nodes"],
             value_field: "speedup_over_naive",
             measured: &spmm_rel,
-            direction: Direction::HigherIsBetter,
-        },
-        GateSpec {
-            path: root.join("BENCH_train.json"),
-            name: "BENCH_train.json (speedup_over_w1)",
-            prefix: "train-rel",
-            key_fields: &["dataset", "workers"],
-            value_field: "speedup_over_w1",
-            measured: &train_rel,
             direction: Direction::HigherIsBetter,
         },
     ];

@@ -10,7 +10,7 @@
 //! trajectory.
 //!
 //! The tolerance is deliberately generous and configurable: `BENCH_GATE_TOL`
-//! is the allowed *fractional slowdown* (default [`DEFAULT_TOLERANCE`]), so
+//! is the allowed *fractional slowdown* (default `DEFAULT_TOLERANCE`), so
 //! `tol = 2.0` fails a row only when the fresh median exceeds `3×` the
 //! committed one. Noisy shared runners should raise it; regressions an order
 //! of magnitude deep still get caught.
@@ -18,12 +18,12 @@
 use std::fmt::Write as _;
 
 /// Default allowed fractional slowdown (fail above `committed × (1 + tol)`).
-pub const DEFAULT_TOLERANCE: f64 = 2.0;
+pub(crate) const DEFAULT_TOLERANCE: f64 = 2.0;
 
 /// Resolves a `BENCH_GATE_TOL`-style setting: unset, empty or unparsable
 /// values select [`DEFAULT_TOLERANCE`]; explicit non-negative numbers are
 /// honoured as-is.
-pub fn tolerance_from(value: Option<&str>) -> f64 {
+pub(crate) fn tolerance_from(value: Option<&str>) -> f64 {
     value
         .map(str::trim)
         .filter(|v| !v.is_empty())
@@ -38,8 +38,8 @@ pub fn tolerance_from_env() -> f64 {
 }
 
 /// Which way a gated metric improves. Wall-clock medians regress upward;
-/// relative speedup columns (`speedup_over_naive`, `speedup_over_w1`)
-/// regress downward.
+/// relative columns (`speedup_over_naive`, `bytes_moved_ratio`) regress
+/// downward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Direction {
     /// Smaller measured values are better (latencies, medians).
@@ -98,7 +98,7 @@ pub struct GateOutcome {
 
 impl GateOutcome {
     /// Rows whose measured median exceeds `committed × (1 + tolerance)`.
-    pub fn regressions(&self) -> Vec<&GateRow> {
+    pub(crate) fn regressions(&self) -> Vec<&GateRow> {
         self.rows
             .iter()
             .filter(|row| row.ratio() > 1.0 + self.tolerance)

@@ -32,7 +32,7 @@ use gcod_accel::simulator::GcodAccelerator;
 use gcod_baselines::suite;
 use gcod_core::workload::DenseBlock;
 use gcod_core::{GcodConfig, SplitWorkload};
-use gcod_graph::{CscMatrix, DatasetProfile, Graph, GraphGenerator};
+use gcod_graph::{CscMatrix, DatasetProfile};
 use gcod_nn::models::{ModelConfig, ModelKind};
 use gcod_nn::quant::Precision;
 use gcod_nn::workload::InferenceWorkload;
@@ -41,7 +41,7 @@ use gcod_platform::{Platform, SimRequest};
 
 /// Node budget of the algorithm-side replicas: keeps the split-and-conquer
 /// runs fast while exercising the full code paths.
-pub const REPLICA_TARGET_NODES: usize = 1_500;
+pub(crate) const REPLICA_TARGET_NODES: usize = 1_500;
 
 /// One dataset of the evaluation: its Table III profile plus the input
 /// feature density of the real data (bag-of-words features are sparse for
@@ -80,14 +80,6 @@ impl DatasetCase {
     /// The three citation graphs of Fig. 9.
     pub fn citation_graphs() -> Vec<Self> {
         ["cora", "citeseer", "pubmed"]
-            .iter()
-            .map(|n| Self::by_name(n))
-            .collect()
-    }
-
-    /// The large graphs of Fig. 10.
-    pub fn large_graphs() -> Vec<Self> {
-        ["nell", "reddit", "ogbn-arxiv"]
             .iter()
             .map(|n| Self::by_name(n))
             .collect()
@@ -138,7 +130,7 @@ impl DatasetCase {
 
     /// Scale factor for the algorithm-side replica (the shared
     /// [`DatasetProfile::scale_for_nodes`] heuristic at
-    /// [`REPLICA_TARGET_NODES`]).
+    /// `REPLICA_TARGET_NODES`).
     pub fn replica_scale(&self) -> f64 {
         self.profile.scale_for_nodes(REPLICA_TARGET_NODES)
     }
@@ -158,7 +150,7 @@ impl DatasetCase {
 
     /// Full-size workload with a pruned adjacency non-zero count (what the
     /// GCoD accelerator runs after the algorithm removed edges).
-    pub fn pruned_workload(
+    pub(crate) fn pruned_workload(
         &self,
         kind: ModelKind,
         precision: Precision,
@@ -233,7 +225,7 @@ pub fn run_algorithm(case: &DatasetCase, config: &GcodConfig, seed: u64) -> Algo
 /// Summarises a [`gcod::StructuralRun`] (from [`gcod::Experiment::tune`] at
 /// any replica scale) into the projection fractions of an
 /// [`AlgorithmOutcome`]. The golden-report regression tests use this at
-/// tiny scale; [`run_algorithm`] uses it at [`REPLICA_TARGET_NODES`].
+/// tiny scale; [`run_algorithm`] uses it at `REPLICA_TARGET_NODES`.
 pub fn summarize_structural_run(
     run: &gcod::StructuralRun,
     config: &GcodConfig,
@@ -426,19 +418,6 @@ pub fn harness_gcod_config() -> GcodConfig {
     }
 }
 
-/// Generates the scaled replica graph of a dataset (used by the accuracy and
-/// visualization binaries that need the actual graph, not just statistics).
-///
-/// # Panics
-///
-/// Panics when generation fails, which cannot happen for the built-in
-/// profiles.
-pub fn replica_graph(case: &DatasetCase, seed: u64) -> Graph {
-    GraphGenerator::new(seed)
-        .generate(&case.profile.scaled_to_nodes(REPLICA_TARGET_NODES))
-        .expect("replica generation")
-}
-
 /// Formats a floating point speedup the way the paper's figures print them.
 pub fn fmt_speedup(x: f64) -> String {
     if x >= 100.0 {
@@ -454,7 +433,7 @@ pub fn fmt_speedup(x: f64) -> String {
 /// scratch copy **and** the repo-root copy that is committed so the
 /// cross-PR perf trajectory stays tracked. Setting the `env_override`
 /// environment variable replaces both with that single explicit path.
-pub fn bench_summary_paths(file_name: &str, env_override: &str) -> Vec<std::path::PathBuf> {
+pub(crate) fn bench_summary_paths(file_name: &str, env_override: &str) -> Vec<std::path::PathBuf> {
     use std::path::PathBuf;
     if let Some(path) = std::env::var_os(env_override) {
         return vec![PathBuf::from(path)];
@@ -467,7 +446,7 @@ pub fn bench_summary_paths(file_name: &str, env_override: &str) -> Vec<std::path
     vec![target_dir.join(file_name), workspace_root.join(file_name)]
 }
 
-/// Writes `contents` to every path of [`bench_summary_paths`], reporting
+/// Writes `contents` to every path of `bench_summary_paths`, reporting
 /// each outcome on stdout/stderr.
 pub fn write_bench_summary(file_name: &str, env_override: &str, contents: &str) {
     for path in bench_summary_paths(file_name, env_override) {
@@ -517,7 +496,6 @@ mod tests {
     #[test]
     fn dataset_cases_cover_the_paper() {
         assert_eq!(DatasetCase::citation_graphs().len(), 3);
-        assert_eq!(DatasetCase::large_graphs().len(), 3);
         assert_eq!(DatasetCase::table6_datasets().len(), 5);
         let cora = DatasetCase::by_name("cora");
         assert!(cora.feature_density < 0.05);
@@ -526,7 +504,8 @@ mod tests {
 
     #[test]
     fn replica_scale_keeps_replicas_small() {
-        for case in DatasetCase::large_graphs() {
+        for name in ["nell", "reddit", "ogbn-arxiv"] {
+            let case = DatasetCase::by_name(name);
             let scaled = case.profile.scaled(case.replica_scale());
             assert!(
                 scaled.nodes <= 2_000,

@@ -33,7 +33,7 @@ pub const OPEN_LOOP_LOADS: &[f64] = &[100.0, 800.0, 2500.0];
 pub const OPEN_LOOP_REQUESTS: usize = 300;
 
 /// The quantile rows committed to `BENCH_serve.json`: `(case, quantile)`.
-pub const OPEN_LOOP_QUANTILES: &[(&str, f64)] =
+pub(crate) const OPEN_LOOP_QUANTILES: &[(&str, f64)] =
     &[("open-p50", 0.50), ("open-p99", 0.99), ("open-p999", 0.999)];
 
 /// SplitMix64: a tiny, high-quality seeded PRNG (the PCG paper's favourite
@@ -67,7 +67,7 @@ impl SplitMix64 {
 
     /// An exponentially distributed gap with the given rate (events/sec),
     /// i.e. one inter-arrival time of a Poisson process.
-    pub fn next_exp_gap(&mut self, rate_per_sec: f64) -> Duration {
+    pub(crate) fn next_exp_gap(&mut self, rate_per_sec: f64) -> Duration {
         let u = self.next_f64();
         // -ln(1-u)/rate; 1-u is in (0, 1] so the log is finite.
         let secs = -(1.0 - u).ln() / rate_per_sec.max(f64::MIN_POSITIVE);
@@ -145,27 +145,11 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// Exact smallest recorded sample in nanoseconds (0 when empty).
-    #[must_use]
-    pub fn min_ns(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    /// Exact largest recorded sample in nanoseconds (0 when empty).
-    #[must_use]
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
     /// The latency (ns) at quantile `q` in `[0, 1]`: the bucket holding the
     /// `ceil(q × count)`-th smallest sample, clamped to the exact min/max so
     /// `quantile(0)` and `quantile(1)` are exact. 0 when empty.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -188,7 +172,7 @@ impl LatencyHistogram {
 
 /// Configuration of one open-loop run.
 #[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
+pub(crate) struct OpenLoopConfig {
     /// Offered load in requests/second (the Poisson rate).
     pub offered_rps: f64,
     /// Total arrivals to generate.
@@ -256,7 +240,7 @@ impl OpenLoopReport {
 ///
 /// Panics when the warm-up request fails or the collector thread panics (a
 /// harness bug, not a load outcome).
-pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
+pub(crate) fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     let handle = serve_server(config.max_batch).spawn();
     // A served model computes its full-graph logits on its first
     // classification. Pay for that pass before the arrival clock starts
@@ -370,7 +354,7 @@ pub fn sweep_open_loop(loads: &[f64], requests: usize, seed: u64) -> Vec<OpenLoo
 
 /// Flattens sweep reports into gate rows keyed exactly like the committed
 /// `BENCH_serve.json` open-loop rows: `serve/<case>/<offered_rps>` with the
-/// quantile latency (ns) as the value, for each of [`OPEN_LOOP_QUANTILES`].
+/// quantile latency (ns) as the value, for each of `OPEN_LOOP_QUANTILES`.
 pub fn open_loop_gate_rows(reports: &[OpenLoopReport]) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for report in reports {
@@ -448,13 +432,11 @@ mod tests {
             hist.record(Duration::from_nanos(ns));
         }
         assert_eq!(hist.count(), 9);
-        assert_eq!(hist.min_ns(), 50);
-        assert_eq!(hist.max_ns(), 1_000_000);
         let p50 = hist.quantile(0.50);
         let p99 = hist.quantile(0.99);
         let p999 = hist.quantile(0.999);
         assert!(p50 <= p99 && p99 <= p999, "quantiles must be monotone");
-        assert!(p999 <= hist.max_ns());
+        assert!(p999 <= hist.quantile(1.0));
         // ~6% bucket resolution: the p50 bucket holds the true median (400,
         // the 5th smallest of 9).
         assert!((375..=400).contains(&p50), "p50 bucket was {p50}");

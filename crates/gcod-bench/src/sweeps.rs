@@ -6,7 +6,7 @@
 //! committed `BENCH_*.json` trajectory. This module is that single source of
 //! truth: the case tables, the deterministic fixtures, and smoke-mode
 //! re-measurement helpers that produce medians keyed exactly like the bench
-//! summary rows (`spmm/<kernel>/<nodes>`, `train/<dataset>/<workers>`).
+//! summary rows (`spmm/<kernel>/<nodes>`, `train/<dataset>/auto`).
 
 use gcod_graph::{CscMatrix, CsrMatrix, DatasetProfile, Graph, GraphGenerator, QuantizedCsr};
 use gcod_nn::kernels::KernelKind;
@@ -29,11 +29,11 @@ pub const SPMM_DATASETS: &[(usize, usize, usize)] =
     &[(500, 5, 16), (2_000, 5, 16), (30_000, 8, 64)];
 
 /// Seed of every sweep fixture (bench and gate must agree).
-pub const SWEEP_SEED: u64 = 1;
+pub(crate) const SWEEP_SEED: u64 = 1;
 
 /// The label of the column-wise CSC traversal swept alongside the
 /// [`KernelKind`] suite.
-pub const CSC_KERNEL_NAME: &str = "csc-column-wise";
+pub(crate) const CSC_KERNEL_NAME: &str = "csc-column-wise";
 
 /// The training sweep: `(label, nodes, avg_degree, feature_dim, classes)`.
 /// The largest carries enough work per epoch (~50M MACs across both layer
@@ -44,21 +44,9 @@ pub const TRAIN_DATASETS: &[(&str, usize, usize, usize, usize)] = &[
     ("large", 12_000, 8, 64, 8),
 ];
 
-/// Worker-lane counts swept per training case; 0 = the pool's auto count.
-pub const TRAIN_WORKER_COUNTS: &[usize] = &[1, 2, 0];
-
 /// Epochs per timed training sample: enough to amortise model construction,
 /// few enough that the full sweep stays in benchmark territory.
 pub const TRAIN_EPOCHS: usize = 3;
-
-/// Row label of a worker count (`w1`, `w2`, …, `auto` for 0).
-pub fn worker_label(workers: usize) -> String {
-    if workers == 0 {
-        "auto".to_string()
-    } else {
-        format!("w{workers}")
-    }
-}
 
 /// One SpMM sweep case, materialised.
 #[derive(Debug)]
@@ -185,9 +173,9 @@ pub fn smoke_spmm_medians(samples: usize) -> Vec<(String, f64)> {
     rows
 }
 
-/// Re-measures the full training sweep in smoke mode: medians keyed
-/// `train/<dataset>/<workers>` in **milliseconds per epoch** — the exact
-/// keys/units of the committed `BENCH_train.json` rows.
+/// Re-measures the full training sweep in smoke mode at the pool's own
+/// worker count: medians keyed `train/<dataset>/auto` in **milliseconds per
+/// epoch** — the exact keys/units of the committed `BENCH_train.json` rows.
 ///
 /// # Panics
 ///
@@ -199,22 +187,20 @@ pub fn smoke_train_medians(samples: usize) -> Vec<(String, f64)> {
         let graph = train_graph(label);
         let template = train_template(&graph);
         let trainer = train_trainer();
-        for &workers in TRAIN_WORKER_COUNTS {
-            let fit = || {
-                let mut model = template.clone().with_workers(workers);
-                trainer.fit(&mut model, &graph).expect("training succeeds");
-            };
-            fit(); // warmup
-            let timed: Vec<u128> = (0..samples)
-                .map(|_| {
-                    let start = Instant::now();
-                    fit();
-                    start.elapsed().as_nanos()
-                })
-                .collect();
-            let epoch_ms = median_ns(timed) / TRAIN_EPOCHS as f64 / 1e6;
-            rows.push((format!("train/{label}/{}", worker_label(workers)), epoch_ms));
-        }
+        let fit = || {
+            let mut model = template.clone();
+            trainer.fit(&mut model, &graph).expect("training succeeds");
+        };
+        fit(); // warmup
+        let timed: Vec<u128> = (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                fit();
+                start.elapsed().as_nanos()
+            })
+            .collect();
+        let epoch_ms = median_ns(timed) / TRAIN_EPOCHS as f64 / 1e6;
+        rows.push((format!("train/{label}/auto"), epoch_ms));
     }
     rows
 }
@@ -222,7 +208,7 @@ pub fn smoke_train_medians(samples: usize) -> Vec<(String, f64)> {
 /// The served graph of the serving sweep: large enough that one fused pass
 /// dominates queue overhead, small enough to keep the sweep in benchmark
 /// territory.
-pub const SERVE_NODES: usize = 2_000;
+pub(crate) const SERVE_NODES: usize = 2_000;
 const SERVE_DEGREE: usize = 5;
 const SERVE_FEATURES: usize = 32;
 const SERVE_CLASSES: usize = 4;
@@ -231,7 +217,7 @@ const SERVE_CLASSES: usize = 4;
 pub const SERVE_BATCH_SIZES: &[usize] = &[1, 8, 32];
 
 /// Nodes per serving classification request.
-pub const SERVE_WINDOW: usize = 8;
+pub(crate) const SERVE_WINDOW: usize = 8;
 
 /// Name of the served model in the serving sweep.
 pub const SERVE_MODEL_NAME: &str = "bench-gcn";
@@ -264,7 +250,7 @@ pub fn serve_server(max_batch: usize) -> Server {
 }
 
 /// The `i`-th classification request of the serving sweep (a wrapping
-/// [`SERVE_WINDOW`]-node window).
+/// `SERVE_WINDOW`-node window).
 pub fn serve_classify_request(i: usize) -> ServeRequest {
     let nodes: Vec<usize> = (0..SERVE_WINDOW)
         .map(|k| (i * 17 + k * 3) % SERVE_NODES)
@@ -446,7 +432,7 @@ pub fn shard_query_nodes(num_nodes: usize) -> Vec<usize> {
 /// forward pass of `plan`: after every layer but the last, each halo slot
 /// receives one `f32` row of that layer's output width. Deterministic for a
 /// fixed plan — a machine-independent column the gate holds exactly.
-pub fn shard_halo_bytes(plan: &ShardPlan) -> u64 {
+pub(crate) fn shard_halo_bytes(plan: &ShardPlan) -> u64 {
     let mut bytes = 0u64;
     for layer in 0..plan.num_layers().saturating_sub(1) {
         let width = plan.spec(0).layers[layer].bias.cols() as u64;
@@ -488,7 +474,7 @@ pub fn smoke_shard_medians(samples: usize) -> Vec<(String, f64)> {
 }
 
 /// The machine-independent halo-traffic column of the sharded sweep:
-/// [`shard_halo_bytes`] per dataset × shard count, keyed
+/// `shard_halo_bytes` per dataset × shard count, keyed
 /// `shard-halo/<dataset>/<shards>` — the fresh counterpart of the committed
 /// `BENCH_shard.json` `halo_bytes` field. Computed straight from the plan
 /// (no workers launched), so the gate holds it on any runner.
@@ -541,7 +527,7 @@ pub fn quant_workload(nodes: usize, degree: usize, feat: usize) -> (Graph, GnnMo
 /// layer parameters and the input activations. This is what the compute
 /// path actually streams — the quantized path narrows values but still
 /// pays full-width index traffic, so the int8 ratio sits below the naive 4×.
-pub fn quant_bytes_moved(graph: &Graph, model: &GnnModel, precision: Precision) -> u64 {
+pub(crate) fn quant_bytes_moved(graph: &Graph, model: &GnnModel, precision: Precision) -> u64 {
     let activations = (graph.features().len() * precision.bytes()) as u64;
     match precision.quant_width() {
         None => {
@@ -616,50 +602,26 @@ pub fn smoke_quant_medians(samples: usize) -> Vec<(String, f64)> {
 /// committed `BENCH_spmm.json` `speedup_over_naive` field. Unlike the
 /// absolute medians, these rows carry no machine speed, so the gate can
 /// hold them to the same tolerance on any runner.
+///
+/// Rows without a positive `naive-csr` median or measurement in their node
+/// group, and keys not shaped `spmm/<kernel>/<nodes>`, are skipped.
 pub fn relative_spmm_rows(medians: &[(String, f64)]) -> Vec<(String, f64)> {
-    relative_rows(medians, "spmm-rel", 1, "naive-csr")
-}
-
-/// Recomputes the machine-independent `speedup_over_w1` column from fresh
-/// training medians: single-worker epoch time over each worker count's,
-/// per dataset, keyed `train-rel/<dataset>/<workers>` — the fresh
-/// counterpart of the committed `BENCH_train.json` `speedup_over_w1` field.
-pub fn relative_train_rows(medians: &[(String, f64)]) -> Vec<(String, f64)> {
-    relative_rows(medians, "train-rel", 2, "w1")
-}
-
-/// Shared shape of both relative columns. Keys are
-/// `<prefix>/<a>/<b>`; `variant_index` (1 or 2) selects which of the two
-/// trailing components names the compared variant, the other is the
-/// grouping (dataset / node count). Each row becomes
-/// `baseline_time / row_time` against its group's `baseline` variant; rows
-/// without a positive baseline or measurement are skipped.
-fn relative_rows(
-    medians: &[(String, f64)],
-    out_prefix: &str,
-    variant_index: usize,
-    baseline: &str,
-) -> Vec<(String, f64)> {
-    let group_index = 3 - variant_index;
-    let split = |key: &str| -> Option<Vec<String>> {
-        let parts: Vec<String> = key.split('/').map(str::to_string).collect();
-        (parts.len() == 3).then_some(parts)
-    };
+    fn split(key: &str) -> Option<(&str, &str)> {
+        key.strip_prefix("spmm/")?.split_once('/')
+    }
     let mut rows = Vec::new();
     for (key, value) in medians {
-        let Some(parts) = split(key) else { continue };
-        let base = medians.iter().find_map(|(candidate, v)| {
-            let p = split(candidate)?;
-            (p[variant_index] == baseline && p[group_index] == parts[group_index]).then_some(*v)
-        });
+        let Some((kernel, nodes)) = split(key) else {
+            continue;
+        };
+        let base = medians
+            .iter()
+            .find_map(|(candidate, v)| (split(candidate)? == ("naive-csr", nodes)).then_some(*v));
         let Some(base) = base else { continue };
         if base <= 0.0 || *value <= 0.0 {
             continue;
         }
-        rows.push((
-            format!("{out_prefix}/{}/{}", parts[1], parts[2]),
-            base / value,
-        ));
+        rows.push((format!("spmm-rel/{kernel}/{nodes}"), base / value));
     }
     rows
 }
@@ -686,15 +648,6 @@ mod tests {
                 ("spmm-rel/tiled-csr/2000".to_string(), 2.5),
             ]
         );
-        let train = vec![
-            ("train/small/w1".to_string(), 8.0),
-            ("train/small/w2".to_string(), 4.0),
-            ("train/medium/w1".to_string(), 80.0),
-            ("train/medium/w2".to_string(), 50.0),
-        ];
-        let rel = relative_train_rows(&train);
-        assert_eq!(rel[1], ("train-rel/small/w2".to_string(), 2.0));
-        assert_eq!(rel[3], ("train-rel/medium/w2".to_string(), 1.6));
     }
 
     #[test]
@@ -776,13 +729,6 @@ mod tests {
         let got = sharded.forward_rows(&query).expect("sharded forward");
         assert_eq!(got.data(), expected.data());
         sharded.shutdown().expect("shutdown");
-    }
-
-    #[test]
-    fn worker_labels_match_the_bench_rows() {
-        assert_eq!(worker_label(0), "auto");
-        assert_eq!(worker_label(1), "w1");
-        assert_eq!(worker_label(8), "w8");
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl fmt::Display for Finding {
 /// `thread-sleep`, and `condvar-wait-while` are unconditional; the other
 /// three are policy decisions scoped to the crates where the invariant is
 /// load-bearing. `reactor_discipline` is *module*-scoped rather than
-/// crate-scoped: it follows the file stem (see [`is_reactor_module`]), so
+/// crate-scoped: it follows the file stem (see `is_reactor_module`), so
 /// [`LintScope::STRICT`] leaves it off and [`lint_file`]/[`lint_tree`]
 /// derive it from the path.
 #[derive(Debug, Clone, Copy)]
@@ -119,7 +119,7 @@ impl LintScope {
 
     /// Crate-scoped applicability, derived from the path's
     /// `crates/<name>/` component (the workspace-root package is `gcod`).
-    pub fn for_path(path: &Path) -> LintScope {
+    pub(crate) fn for_path(path: &Path) -> LintScope {
         let crate_name = crate_of(path);
         let name = crate_name.as_deref().unwrap_or("");
         LintScope {
@@ -145,7 +145,7 @@ impl LintScope {
 /// (`reactor.rs`, `model_reactor.rs`, ...)? Scopes the condvar-discipline
 /// extension `reactor-notify-one`: inside a reactor, waiters of different
 /// classes multiplex one condvar, so only `notify_all` is sound.
-pub fn is_reactor_module(path: &Path) -> bool {
+pub(crate) fn is_reactor_module(path: &Path) -> bool {
     path.file_stem()
         .is_some_and(|stem| stem.to_string_lossy().contains("reactor"))
 }
@@ -163,7 +163,7 @@ fn crate_of(path: &Path) -> Option<String> {
 /// Replaces comments, string/char literals, and raw strings with spaces,
 /// preserving newlines so every byte of the result sits on its original
 /// line. Lints scan this; the raw text is only consulted for comments.
-pub fn strip_comments_and_strings(source: &str) -> String {
+pub(crate) fn strip_comments_and_strings(source: &str) -> String {
     let chars: Vec<char> = source.chars().collect();
     let n = chars.len();
     let mut out = String::with_capacity(source.len());
@@ -310,7 +310,7 @@ fn is_ident_char(c: char) -> bool {
 /// `#[test]` functions: from the attribute to the closing brace of the next
 /// block. An item that ends in `;` before any `{` (e.g. a `#[cfg(test)]`
 /// import) covers only its own lines.
-pub fn test_regions(stripped: &str) -> Vec<(usize, usize)> {
+pub(crate) fn test_regions(stripped: &str) -> Vec<(usize, usize)> {
     let chars: Vec<char> = stripped.chars().collect();
     let n = chars.len();
     let mut regions = Vec::new();
@@ -400,7 +400,7 @@ fn allowed(raw_lines: &[&str], line: usize, lint: &str) -> bool {
 }
 
 /// Lints a single file's source. `file_label` is used verbatim in findings.
-pub fn lint_source(file_label: &str, source: &str, scope: LintScope) -> Vec<Finding> {
+pub(crate) fn lint_source(file_label: &str, source: &str, scope: LintScope) -> Vec<Finding> {
     let stripped = strip_comments_and_strings(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     let regions = test_regions(&stripped);

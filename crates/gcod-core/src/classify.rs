@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Assignment of every node to a degree class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DegreeClasses {
-    thresholds: Vec<usize>,
+pub(crate) struct DegreeClasses {
     class_of: Vec<u32>,
     num_classes: usize,
 }
@@ -25,7 +24,7 @@ impl DegreeClasses {
     /// # Errors
     ///
     /// Propagates configuration validation errors.
-    pub fn compute(adj: &CsrMatrix, config: &GcodConfig) -> Result<Self> {
+    pub(crate) fn compute(adj: &CsrMatrix, config: &GcodConfig) -> Result<Self> {
         config.validate()?;
         let degrees = adj.row_degrees();
         let thresholds = match &config.degree_thresholds {
@@ -37,24 +36,19 @@ impl DegreeClasses {
             .map(|&d| class_for_degree(d, &thresholds) as u32)
             .collect();
         Ok(Self {
-            thresholds,
             class_of,
             num_classes: config.num_classes,
         })
     }
 
     /// Number of classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.num_classes
     }
 
-    /// The degree thresholds separating the classes (`C - 1` values).
-    pub fn thresholds(&self) -> &[usize] {
-        &self.thresholds
-    }
-
     /// Class index of every node.
-    pub fn class_of(&self) -> &[u32] {
+    #[cfg(test)]
+    fn class_of(&self) -> &[u32] {
         &self.class_of
     }
 
@@ -63,12 +57,13 @@ impl DegreeClasses {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn class(&self, node: usize) -> usize {
+    #[cfg(test)]
+    fn class(&self, node: usize) -> usize {
         self.class_of[node] as usize
     }
 
     /// Node indices of each class, in ascending node order.
-    pub fn members(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn members(&self) -> Vec<Vec<usize>> {
         let mut members = vec![Vec::new(); self.num_classes];
         for (node, &c) in self.class_of.iter().enumerate() {
             members[c as usize].push(node);
@@ -77,7 +72,8 @@ impl DegreeClasses {
     }
 
     /// Node count per class.
-    pub fn sizes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_classes];
         for &c in &self.class_of {
             sizes[c as usize] += 1;
@@ -197,7 +193,6 @@ mod tests {
         };
         let classes = DegreeClasses::compute(&adj, &config).unwrap();
         assert!(classes.class_of().iter().all(|&c| c == 0));
-        assert!(classes.thresholds().is_empty());
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl GcodConfig {
 
     /// Number of subgraphs assigned to each class (evenly split, remainder to
     /// the first classes).
-    pub fn subgraphs_per_class(&self) -> Vec<usize> {
+    pub(crate) fn subgraphs_per_class(&self) -> Vec<usize> {
         let base = self.num_subgraphs / self.num_classes;
         let extra = self.num_subgraphs % self.num_classes;
         (0..self.num_classes)

@@ -8,7 +8,8 @@
 //! subgraphs of class 0 come first, then class 1, … — the layout of Fig. 2,
 //! which turns intra-subgraph edges into block-diagonal mass.
 
-use crate::{DegreeClasses, GcodConfig, Result};
+use crate::classify::DegreeClasses;
+use crate::{GcodConfig, Result};
 use gcod_graph::{CsrMatrix, Graph, PartitionConfig, Partitioner, Permutation};
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +63,7 @@ impl SubgraphLayout {
     /// # Errors
     ///
     /// Propagates partitioning errors.
-    pub fn build_with_classes(
+    pub(crate) fn build_with_classes(
         adj: &CsrMatrix,
         classes: &DegreeClasses,
         config: &GcodConfig,
@@ -173,40 +174,9 @@ impl SubgraphLayout {
         self.num_groups
     }
 
-    /// Subgraphs belonging to one class (across all groups) — the workload of
-    /// one hardware chunk.
-    pub fn subgraphs_of_class(&self, class: usize) -> Vec<&SubgraphInfo> {
-        self.subgraphs.iter().filter(|s| s.class == class).collect()
-    }
-
     /// Applies the layout's permutation to a graph.
     pub fn apply(&self, graph: &Graph) -> Graph {
         graph.permute(&self.permutation)
-    }
-
-    /// Total intra-subgraph (block-diagonal) non-zeros.
-    pub fn diagonal_nnz(&self) -> usize {
-        self.subgraphs.iter().map(|s| s.internal_nnz).sum()
-    }
-
-    /// Coefficient of variation of per-class subgraph edge counts; low values
-    /// mean the workload is balanced, which is the property the denser branch
-    /// relies on.
-    pub fn workload_balance(&self, class: usize) -> f64 {
-        let sizes: Vec<f64> = self
-            .subgraphs_of_class(class)
-            .iter()
-            .map(|s| s.internal_nnz as f64)
-            .collect();
-        if sizes.len() < 2 {
-            return 0.0;
-        }
-        let mean = sizes.iter().sum::<f64>() / sizes.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = sizes.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / sizes.len() as f64;
-        var.sqrt() / mean
     }
 }
 
@@ -266,7 +236,7 @@ mod tests {
         let layout = SubgraphLayout::build(&g, &config(), 0).unwrap();
         for class in 0..layout.num_classes() {
             assert!(
-                !layout.subgraphs_of_class(class).is_empty(),
+                layout.subgraphs().iter().any(|s| s.class == class),
                 "class {class} has no subgraphs"
             );
         }
@@ -285,7 +255,8 @@ mod tests {
         );
         // The block-diagonal (intra-subgraph) edges should be a substantial
         // share of the whole matrix for a community-structured graph.
-        let frac = layout.diagonal_nnz() as f64 / g.num_edges() as f64;
+        let diagonal_nnz: usize = layout.subgraphs().iter().map(|s| s.internal_nnz).sum();
+        let frac = diagonal_nnz as f64 / g.num_edges() as f64;
         assert!(frac > 0.3, "block-diagonal fraction {frac}");
     }
 
@@ -298,16 +269,6 @@ mod tests {
         for new in 0..g.num_nodes() {
             let old = inv.apply(new);
             assert_eq!(permuted.labels()[new], g.labels()[old]);
-        }
-    }
-
-    #[test]
-    fn workload_balance_is_reasonable() {
-        let g = graph();
-        let layout = SubgraphLayout::build(&g, &config(), 0).unwrap();
-        for class in 0..layout.num_classes() {
-            let cv = layout.workload_balance(class);
-            assert!(cv < 1.5, "class {class} coefficient of variation {cv}");
         }
     }
 

@@ -14,16 +14,16 @@
 //!
 //! The crate is organised along the three steps of Fig. 3:
 //!
-//! 1. [`classify`] + [`layout`]: degree classes, balanced subgraph
+//! 1. [`SubgraphLayout`]: degree classes, balanced subgraph
 //!    partitioning (METIS stand-in), group distribution and the induced node
 //!    reordering (Step 1),
-//! 2. [`polarize`]: sparsify + polarize graph tuning (Step 2),
-//! 3. [`structural`]: patch-based structural sparsification (Step 3),
+//! 2. [`Polarizer`]: sparsify + polarize graph tuning (Step 2),
+//! 3. [`structural_sparsify`]: patch-based structural sparsification (Step 3),
 //!
-//! with [`pipeline`] orchestrating pretraining, tuning and retraining
+//! with [`GcodPipeline`] orchestrating pretraining, tuning and retraining
 //! (including the early-bird early-stopping variant of Sec. IV-B2),
 //! [`workload`] extracting the denser/sparser split consumed by the
-//! accelerator, [`visualize`] rendering Fig. 4-style adjacency views, and
+//! accelerator, [`render_adjacency`] drawing Fig. 4-style adjacency views, and
 //! [`compression`] implementing the baselines of Table VII.
 //!
 //! # Example
@@ -46,18 +46,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod classify;
+mod classify;
 pub mod compression;
 mod config;
 mod error;
-pub mod layout;
-pub mod pipeline;
-pub mod polarize;
-pub mod structural;
-pub mod visualize;
+mod layout;
+mod pipeline;
+mod polarize;
+mod structural;
+mod visualize;
 pub mod workload;
 
-pub use classify::DegreeClasses;
 pub use compression::{CompressionMethod, CompressionOutcome};
 pub use config::GcodConfig;
 pub use error::GcodError;

@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn diagonal_blocks_are_protected() {
         let (g, layout) = setup();
-        let before_diag = layout.diagonal_nnz();
+        let before_diag: usize = layout.subgraphs().iter().map(|s| s.internal_nnz).sum();
         let (pruned, _) = structural_sparsify(g.adjacency(), &layout, 16, 1000);
         // Count remaining intra-subgraph edges.
         let mut after_diag = 0usize;

@@ -62,28 +62,6 @@ pub fn render_adjacency(
     out
 }
 
-/// Summary line accompanying a Fig. 4 panel: node count, edge count, density
-/// and the share of mass on the block diagonal.
-pub fn describe_adjacency(adj: &CsrMatrix, layout: &SubgraphLayout) -> String {
-    let diag: usize = layout
-        .subgraphs()
-        .iter()
-        .map(|s| adj.block_nnz(s.start, s.start + s.len, s.start, s.start + s.len))
-        .sum();
-    let frac = if adj.nnz() > 0 {
-        diag as f64 / adj.nnz() as f64
-    } else {
-        0.0
-    };
-    format!(
-        "{} nodes, {} nnz, density {:.5}%, block-diagonal share {:.1}%",
-        adj.rows(),
-        adj.nnz(),
-        adj.density() * 100.0,
-        frac * 100.0
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +110,6 @@ mod tests {
         let art_dense = render_adjacency(&coo.to_csr(), None, 30);
         let darkness = |s: &str| s.chars().filter(|&c| c == '@' || c == '#').count();
         assert!(darkness(&art_dense) > darkness(&art_sparse));
-    }
-
-    #[test]
-    fn describe_mentions_counts() {
-        let (g, layout) = setup();
-        let line = describe_adjacency(g.adjacency(), &layout);
-        assert!(line.contains("200 nodes"));
-        assert!(line.contains("nnz"));
-        assert!(line.contains('%'));
     }
 
     #[test]

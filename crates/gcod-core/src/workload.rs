@@ -137,12 +137,6 @@ impl SplitWorkload {
         }
         per_class
     }
-
-    /// Number of structurally empty columns in the sparser branch (skipped
-    /// entirely by the hardware).
-    pub fn skippable_columns(&self) -> usize {
-        self.sparser.empty_columns().len()
-    }
 }
 
 #[cfg(test)]
@@ -227,12 +221,5 @@ mod tests {
             avg_block > global,
             "blocks should be denser than the whole matrix ({avg_block} vs {global})"
         );
-    }
-
-    #[test]
-    fn skippable_columns_counted() {
-        let (g, layout, _) = setup();
-        let split = SplitWorkload::extract(g.adjacency(), &layout);
-        assert!(split.skippable_columns() <= g.num_nodes());
     }
 }

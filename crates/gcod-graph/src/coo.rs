@@ -69,7 +69,7 @@ impl CooMatrix {
     /// Returns [`GraphError::DimensionMismatch`] if the vectors have different
     /// lengths and [`GraphError::IndexOutOfBounds`] if any coordinate exceeds
     /// the shape.
-    pub fn from_triplets(
+    pub(crate) fn from_triplets(
         rows: usize,
         cols: usize,
         row_indices: Vec<u32>,
@@ -177,12 +177,12 @@ impl CooMatrix {
     }
 
     /// Row index slice.
-    pub fn row_indices(&self) -> &[u32] {
+    pub(crate) fn row_indices(&self) -> &[u32] {
         &self.row_indices
     }
 
     /// Column index slice.
-    pub fn col_indices(&self) -> &[u32] {
+    pub(crate) fn col_indices(&self) -> &[u32] {
         &self.col_indices
     }
 

@@ -131,15 +131,6 @@ impl CscMatrix {
         &self.values
     }
 
-    /// Number of non-zeros in column `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn col_nnz(&self, col: usize) -> usize {
-        (self.indptr[col + 1] - self.indptr[col]) as usize
-    }
-
     /// Row indices and values of column `col`.
     ///
     /// # Panics
@@ -173,11 +164,6 @@ impl CscMatrix {
         })
     }
 
-    /// In-degree per column (number of stored entries).
-    pub fn col_degrees(&self) -> Vec<usize> {
-        (0..self.cols).map(|c| self.col_nnz(c)).collect()
-    }
-
     /// Converts back to COO.
     pub fn to_coo(&self) -> CooMatrix {
         self.iter()
@@ -188,14 +174,6 @@ impl CscMatrix {
     /// Converts to CSR.
     pub fn to_csr(&self) -> CsrMatrix {
         self.to_coo().to_csr()
-    }
-
-    /// Columns that contain no entries at all.
-    ///
-    /// The GCoD accelerator skips such columns entirely during distributed
-    /// aggregation (Sec. V-B, structural sparsity discussion).
-    pub fn empty_columns(&self) -> Vec<usize> {
-        (0..self.cols).filter(|&c| self.col_nnz(c) == 0).collect()
     }
 
     /// Storage footprint in bytes (indptr + indices + values).
@@ -235,12 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn col_degrees_of_star() {
-        let m = star();
-        assert_eq!(m.col_degrees(), vec![4, 1, 1, 1, 1]);
-    }
-
-    #[test]
     fn get_matches_construction() {
         let m = star();
         assert_eq!(m.get(0, 3), 1.0);
@@ -266,21 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_columns_detected() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 1.0).unwrap();
-        coo.push(2, 2, 1.0).unwrap();
-        let csc = coo.to_csc();
-        assert_eq!(csc.empty_columns(), vec![1]);
-    }
-
-    #[test]
     fn zeros_shape() {
         let z = CscMatrix::zeros(4, 2);
         assert_eq!(z.rows(), 4);
         assert_eq!(z.cols(), 2);
         assert_eq!(z.nnz(), 0);
-        assert!(z.empty_columns().len() == 2);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `row >= self.rows()`.
-    pub fn row_nnz(&self, row: usize) -> usize {
+    pub(crate) fn row_nnz(&self, row: usize) -> usize {
         (self.indptr[row + 1] - self.indptr[row]) as usize
     }
 
@@ -290,7 +290,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `row >= self.rows()`.
-    pub fn row_slice_in_cols(
+    pub(crate) fn row_slice_in_cols(
         &self,
         row: usize,
         col_start: usize,

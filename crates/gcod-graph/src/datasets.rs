@@ -110,7 +110,7 @@ impl DatasetProfile {
     }
 
     /// The NELL knowledge graph profile (65,755 / 266,144 / 5,414 / 210).
-    pub fn nell() -> Self {
+    pub(crate) fn nell() -> Self {
         Self {
             power_law_exponent: 2.1,
             community_mixing: 0.3,
@@ -119,7 +119,7 @@ impl DatasetProfile {
     }
 
     /// The ogbn-arxiv profile (169,343 / 1,166,243 / 128 / 40).
-    pub fn ogbn_arxiv() -> Self {
+    pub(crate) fn ogbn_arxiv() -> Self {
         Self {
             power_law_exponent: 2.2,
             community_mixing: 0.34,
@@ -146,7 +146,7 @@ impl DatasetProfile {
     ///
     /// Not part of [`KNOWN_DATASETS`] (those are the paper's Table III
     /// datasets) but resolvable through [`DatasetProfile::by_name`].
-    pub fn reddit_lite() -> Self {
+    pub(crate) fn reddit_lite() -> Self {
         Self {
             power_law_exponent: 1.9,
             community_mixing: 0.4,
@@ -233,7 +233,8 @@ impl DatasetProfile {
     }
 
     /// Average node degree implied by the profile (`2E/N`).
-    pub fn average_degree(&self) -> f64 {
+    #[cfg(test)]
+    fn average_degree(&self) -> f64 {
         2.0 * self.edges as f64 / self.nodes as f64
     }
 

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 /// Low-level generator parameters, independent of a dataset profile.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GeneratorConfig {
+pub(crate) struct GeneratorConfig {
     /// Number of nodes.
     pub nodes: usize,
     /// Target number of undirected edges.
@@ -37,7 +37,7 @@ pub struct GeneratorConfig {
 
 impl GeneratorConfig {
     /// Derives the low-level configuration from a dataset profile.
-    pub fn from_profile(profile: &DatasetProfile) -> Self {
+    pub(crate) fn from_profile(profile: &DatasetProfile) -> Self {
         Self {
             nodes: profile.nodes,
             edges: profile.edges,
@@ -123,7 +123,7 @@ impl GraphGenerator {
     ///
     /// Returns [`GraphError::InvalidParameter`] for inconsistent
     /// configurations.
-    pub fn generate_with(&self, config: &GeneratorConfig, name: &str) -> Result<Graph> {
+    pub(crate) fn generate_with(&self, config: &GeneratorConfig, name: &str) -> Result<Graph> {
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = config.nodes;

@@ -3,19 +3,6 @@
 use crate::{CsrMatrix, GraphError, Permutation, Result};
 use serde::{Deserialize, Serialize};
 
-/// Which split a node belongs to during semi-supervised training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Split {
-    /// Labelled node used for the training loss.
-    Train,
-    /// Node used for validation / early stopping.
-    Validation,
-    /// Held-out node used to report test accuracy.
-    Test,
-    /// Unlabelled node (only participates in message passing).
-    Unlabelled,
-}
-
 /// Boolean mask over nodes for one split.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeMask {
@@ -230,15 +217,6 @@ impl Graph {
         &self.features
     }
 
-    /// Features of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node >= self.num_nodes()`.
-    pub fn node_features(&self, node: usize) -> &[f32] {
-        &self.features[node * self.feature_dim..(node + 1) * self.feature_dim]
-    }
-
     /// Class labels per node.
     pub fn labels(&self) -> &[u32] {
         &self.labels
@@ -259,31 +237,9 @@ impl Graph {
         &self.test_mask
     }
 
-    /// The split a node belongs to.
-    pub fn split_of(&self, node: usize) -> Split {
-        if self.train_mask.contains(node) {
-            Split::Train
-        } else if self.val_mask.contains(node) {
-            Split::Validation
-        } else if self.test_mask.contains(node) {
-            Split::Test
-        } else {
-            Split::Unlabelled
-        }
-    }
-
     /// Degrees of all nodes.
     pub fn degrees(&self) -> Vec<usize> {
         self.adjacency.row_degrees()
-    }
-
-    /// Average node degree.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / self.num_nodes() as f64
-        }
     }
 
     /// Sparsity of the adjacency matrix (fraction of zero entries).
@@ -356,7 +312,7 @@ mod tests {
         assert_eq!(g.feature_dim(), 3);
         assert_eq!(g.num_classes(), 2);
         assert_eq!(g.name(), "tiny");
-        assert_eq!(g.node_features(1).len(), 3);
+        assert_eq!(g.features().len(), 4 * 3);
     }
 
     #[test]
@@ -394,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn split_assignment() {
-        let g = tiny_graph();
-        assert_eq!(g.split_of(0), Split::Train);
-        assert_eq!(g.split_of(2), Split::Validation);
-        assert_eq!(g.split_of(3), Split::Test);
-    }
-
-    #[test]
     fn mask_counts_and_iteration() {
         let mask = NodeMask::from_indices(5, &[1, 3]);
         assert_eq!(mask.count(), 2);
@@ -413,7 +361,7 @@ mod tests {
     #[test]
     fn permute_preserves_structure() {
         let g = tiny_graph();
-        let perm = Permutation::from_forward(vec![3, 2, 1, 0]).unwrap();
+        let perm = Permutation::from_order(&[3, 2, 1, 0]).unwrap();
         let p = g.permute(&perm);
         assert_eq!(p.num_edges(), g.num_edges());
         // Edge (0,1) becomes (3,2).
@@ -434,9 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_and_average_degree() {
+    fn sparsity_of_a_path() {
         let g = tiny_graph();
-        assert!((g.average_degree() - 1.5).abs() < 1e-9);
         assert!(g.sparsity() > 0.5);
     }
 }

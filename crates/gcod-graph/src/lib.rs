@@ -16,8 +16,7 @@
 //!   ogbn-arxiv, Reddit),
 //! * a from-scratch multilevel balanced edge-cut partitioner standing in for
 //!   METIS,
-//! * node reordering utilities (degree sort, reverse Cuthill–McKee) and
-//!   permutation handling,
+//! * node permutation handling,
 //! * block/patch density statistics used by the structural sparsification
 //!   step and by the accelerator simulator.
 //!
@@ -50,7 +49,6 @@ mod normalize;
 mod partition;
 mod permutation;
 mod quant;
-mod reorder;
 mod stats;
 
 pub use coo::CooMatrix;
@@ -58,14 +56,13 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use datasets::{DatasetProfile, DatasetStats, KNOWN_DATASETS};
 pub use error::GraphError;
-pub use generators::{GeneratorConfig, GraphGenerator};
-pub use graph::{Graph, NodeMask, Split};
-pub use normalize::{degree_vector, normalize_row, normalize_symmetric, SelfLoops};
+pub use generators::GraphGenerator;
+pub use graph::{Graph, NodeMask};
+pub use normalize::{normalize_row, normalize_symmetric, SelfLoops};
 pub use partition::{PartitionConfig, Partitioner, Partitioning};
 pub use permutation::Permutation;
 pub use quant::{QuantValues, QuantWidth, QuantizedCsr};
-pub use reorder::{bandwidth, degree_descending_order, rcm_order, Reordering};
-pub use stats::{BlockDensity, GraphStats, PatchGrid};
+pub use stats::{GraphStats, PatchGrid};
 
 /// Result alias used across the graph substrate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -22,7 +22,7 @@ pub enum SelfLoops {
 ///
 /// For a symmetric adjacency matrix this is the ordinary node degree; for a
 /// directed one it is the out-degree.
-pub fn degree_vector(adj: &CsrMatrix) -> Vec<f64> {
+pub(crate) fn degree_vector(adj: &CsrMatrix) -> Vec<f64> {
     (0..adj.rows()).map(|r| adj.row_nnz(r) as f64).collect()
 }
 

@@ -77,7 +77,8 @@ impl Partitioning {
     }
 
     /// Number of (undirected) edges whose endpoints fall in different parts.
-    pub fn edge_cut(&self) -> usize {
+    #[cfg(test)]
+    fn edge_cut(&self) -> usize {
         self.edge_cut
     }
 
@@ -90,58 +91,6 @@ impl Partitioning {
         self.assignment[node] as usize
     }
 
-    /// Nodes of one part, in ascending node order, without allocating.
-    ///
-    /// This replaces the old `members()` accessor, which materialised a
-    /// `Vec<Vec<usize>>` of every part on every call; callers that need the
-    /// node list of one part iterate (or `collect()`) this instead, and
-    /// callers that only need counts use [`sizes`](Partitioning::sizes).
-    pub fn members_of(&self, part: usize) -> impl Iterator<Item = usize> + '_ {
-        let part = part as u32;
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &p)| p == part)
-            .map(|(node, _)| node)
-    }
-
-    /// Nodes with at least one neighbour in a different part, in ascending
-    /// node order — the nodes whose activations must cross a shard boundary
-    /// under a 1-hop (GCN-layer) halo exchange.
-    pub fn boundary_nodes(&self, adj: &CsrMatrix) -> Vec<usize> {
-        (0..self.assignment.len())
-            .filter(|&node| {
-                let own = self.assignment[node];
-                let (cols, _) = adj.row(node);
-                cols.iter().any(|&c| self.assignment[c as usize] != own)
-            })
-            .collect()
-    }
-
-    /// Number of distinct halo nodes of `part`: nodes owned by *other* parts
-    /// that are adjacent to at least one node of `part`. This is exactly the
-    /// per-layer activation traffic a 1-hop halo exchange must move into
-    /// `part`.
-    pub fn halo_size(&self, adj: &CsrMatrix, part: usize) -> usize {
-        let part = part as u32;
-        let mut seen = vec![false; self.assignment.len()];
-        let mut count = 0usize;
-        for (node, &p) in self.assignment.iter().enumerate() {
-            if p != part {
-                continue;
-            }
-            let (cols, _) = adj.row(node);
-            for &c in cols {
-                let v = c as usize;
-                if self.assignment[v] != part && !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Node count per part.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.parts];
@@ -152,7 +101,8 @@ impl Partitioning {
     }
 
     /// Maximum part size divided by the average part size.
-    pub fn imbalance(&self) -> f64 {
+    #[cfg(test)]
+    fn imbalance(&self) -> f64 {
         let sizes = self.sizes();
         let avg = self.assignment.len() as f64 / self.parts as f64;
         let max = sizes.into_iter().max().unwrap_or(0) as f64;
@@ -467,7 +417,8 @@ fn edge_cut(adj: &CsrMatrix, assignment: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CooMatrix, GeneratorConfig, GraphGenerator};
+    use crate::generators::GeneratorConfig;
+    use crate::{CooMatrix, GraphGenerator};
 
     fn two_cliques(k: usize) -> CsrMatrix {
         // Two k-cliques joined by a single bridge edge: the optimal bisection
@@ -546,67 +497,8 @@ mod tests {
         let result = Partitioner::new(PartitionConfig::k_way(4))
             .partition(g.adjacency())
             .unwrap();
-        let covered: usize = (0..result.parts())
-            .map(|p| result.members_of(p).count())
-            .sum();
-        assert_eq!(covered, g.num_nodes());
+        assert_eq!(result.sizes().iter().sum::<usize>(), g.num_nodes());
         assert!(result.assignment().iter().all(|&p| (p as usize) < 4));
-        // members_of agrees with the assignment and is ascending.
-        for part in 0..result.parts() {
-            let nodes: Vec<usize> = result.members_of(part).collect();
-            assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-            assert!(nodes.iter().all(|&n| result.part_of(n) == part));
-        }
-    }
-
-    #[test]
-    fn boundary_and_halo_of_two_cliques() {
-        // Two 8-cliques joined by one bridge (0 -- 8): the optimal bisection
-        // puts each clique in its own part, so the only boundary nodes are
-        // the bridge endpoints and each part's halo is exactly the opposite
-        // endpoint.
-        let adj = two_cliques(8);
-        let result = Partitioner::new(PartitionConfig::k_way(2))
-            .partition(&adj)
-            .unwrap();
-        assert_eq!(result.edge_cut(), 1);
-        let boundary = result.boundary_nodes(&adj);
-        assert_eq!(boundary, vec![0, 8]);
-        assert_eq!(result.halo_size(&adj, result.part_of(0)), 1);
-        assert_eq!(result.halo_size(&adj, result.part_of(8)), 1);
-    }
-
-    #[test]
-    fn single_part_has_no_boundary_or_halo() {
-        let adj = two_cliques(4);
-        let result = Partitioner::new(PartitionConfig::k_way(1))
-            .partition(&adj)
-            .unwrap();
-        assert!(result.boundary_nodes(&adj).is_empty());
-        assert_eq!(result.halo_size(&adj, 0), 0);
-    }
-
-    #[test]
-    fn halo_counts_distinct_nodes_not_edges() {
-        // Star: hub 0 in part 0 alone, leaves in part 1. Part 1's halo is
-        // {0} (one node) even though every leaf touches it; part 0's halo is
-        // every leaf.
-        let n = 6;
-        let mut coo = CooMatrix::new(n, n);
-        for leaf in 1..n {
-            coo.push(0, leaf, 1.0).unwrap();
-            coo.push(leaf, 0, 1.0).unwrap();
-        }
-        let adj = coo.to_csr();
-        let assignment: Vec<u32> = (0..n).map(|i| u32::from(i != 0)).collect();
-        let partitioning = Partitioning {
-            assignment,
-            parts: 2,
-            edge_cut: n - 1,
-        };
-        assert_eq!(partitioning.halo_size(&adj, 1), 1);
-        assert_eq!(partitioning.halo_size(&adj, 0), n - 1);
-        assert_eq!(partitioning.boundary_nodes(&adj).len(), n);
     }
 
     #[test]

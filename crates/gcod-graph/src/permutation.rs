@@ -25,28 +25,6 @@ impl Permutation {
         }
     }
 
-    /// Builds a permutation from the forward map `old -> new`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if the map is not a bijection
-    /// onto `0..n`.
-    pub fn from_forward(forward: Vec<u32>) -> Result<Self> {
-        let n = forward.len();
-        let mut seen = vec![false; n];
-        for &v in &forward {
-            let v = v as usize;
-            if v >= n || seen[v] {
-                return Err(GraphError::InvalidParameter {
-                    name: "forward",
-                    reason: format!("map is not a bijection onto 0..{n}"),
-                });
-            }
-            seen[v] = true;
-        }
-        Ok(Self { forward })
-    }
-
     /// Builds the permutation that places the nodes in the order given by
     /// `order`: the node `order[k]` is mapped to position `k`.
     ///
@@ -102,29 +80,9 @@ impl Permutation {
         Permutation { forward: inv }
     }
 
-    /// Composes `self` after `first`: the result maps `x` to
-    /// `self.apply(first.apply(x))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two permutations have different lengths.
-    pub fn compose_after(&self, first: &Permutation) -> Permutation {
-        assert_eq!(
-            self.len(),
-            first.len(),
-            "composed permutations must have equal length"
-        );
-        let forward = first
-            .forward
-            .iter()
-            .map(|&mid| self.forward[mid as usize])
-            .collect();
-        Permutation { forward }
-    }
-
     /// Permutes the rows of a table with `row_len` contiguous values per
     /// element (used for feature matrices stored row-major).
-    pub fn permute_rows<T: Copy + Default>(&self, data: &[T], row_len: usize) -> Vec<T> {
+    pub(crate) fn permute_rows<T: Copy + Default>(&self, data: &[T], row_len: usize) -> Vec<T> {
         assert_eq!(data.len(), self.len() * row_len, "data shape mismatch");
         let mut out = vec![T::default(); data.len()];
         for old in 0..self.len() {
@@ -133,14 +91,6 @@ impl Permutation {
                 .copy_from_slice(&data[old * row_len..(old + 1) * row_len]);
         }
         out
-    }
-
-    /// Whether this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.forward
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| i == v as usize)
     }
 }
 
@@ -151,16 +101,16 @@ mod tests {
     #[test]
     fn identity_roundtrip() {
         let p = Permutation::identity(5);
-        assert!(p.is_identity());
+        assert_eq!(p.as_slice(), &[0, 1, 2, 3, 4]);
         assert_eq!(p.apply(3), 3);
         assert_eq!(p.inverse(), p);
     }
 
     #[test]
-    fn from_forward_rejects_non_bijection() {
-        assert!(Permutation::from_forward(vec![0, 0, 1]).is_err());
-        assert!(Permutation::from_forward(vec![0, 3, 1]).is_err());
-        assert!(Permutation::from_forward(vec![2, 0, 1]).is_ok());
+    fn from_order_rejects_non_permutation() {
+        assert!(Permutation::from_order(&[0, 0, 1]).is_err());
+        assert!(Permutation::from_order(&[0, 3, 1]).is_err());
+        assert!(Permutation::from_order(&[2, 0, 1]).is_ok());
     }
 
     #[test]
@@ -174,7 +124,7 @@ mod tests {
 
     #[test]
     fn inverse_undoes_forward() {
-        let p = Permutation::from_forward(vec![2, 0, 3, 1]).unwrap();
+        let p = Permutation::from_order(&[1, 3, 0, 2]).unwrap();
         let inv = p.inverse();
         for i in 0..4 {
             assert_eq!(inv.apply(p.apply(i)), i);
@@ -182,18 +132,8 @@ mod tests {
     }
 
     #[test]
-    fn compose_applies_in_order() {
-        let first = Permutation::from_forward(vec![1, 2, 0]).unwrap();
-        let second = Permutation::from_forward(vec![2, 0, 1]).unwrap();
-        let composed = second.compose_after(&first);
-        for i in 0..3 {
-            assert_eq!(composed.apply(i), second.apply(first.apply(i)));
-        }
-    }
-
-    #[test]
     fn permute_rows_moves_feature_rows() {
-        let p = Permutation::from_forward(vec![1, 0]).unwrap();
+        let p = Permutation::from_order(&[1, 0]).unwrap();
         let data = vec![1.0f32, 2.0, 3.0, 4.0]; // two rows of two
         let permuted = p.permute_rows(&data, 2);
         assert_eq!(permuted, vec![3.0, 4.0, 1.0, 2.0]);
@@ -203,6 +143,5 @@ mod tests {
     fn empty_permutation() {
         let p = Permutation::identity(0);
         assert!(p.is_empty());
-        assert!(p.is_identity());
     }
 }

@@ -116,22 +116,6 @@ impl QuantValues {
         self.len() == 0
     }
 
-    /// Typed access to an 8-bit payload.
-    pub fn as_i8(&self) -> Option<&[i8]> {
-        match self {
-            QuantValues::I8(v) => Some(v),
-            QuantValues::I16(_) => None,
-        }
-    }
-
-    /// Typed access to a 16-bit payload.
-    pub fn as_i16(&self) -> Option<&[i16]> {
-        match self {
-            QuantValues::I16(v) => Some(v),
-            QuantValues::I8(_) => None,
-        }
-    }
-
     /// Dequantizes the whole payload to f32 with `scale`.
     pub fn dequantize(&self, scale: f32) -> Vec<f32> {
         match self {
@@ -213,15 +197,6 @@ impl QuantizedCsr {
     /// The quantized value payload.
     pub fn values(&self) -> &QuantValues {
         &self.values
-    }
-
-    /// Number of non-zeros in row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.rows()`.
-    pub fn row_nnz(&self, row: usize) -> usize {
-        (self.indptr[row + 1] - self.indptr[row]) as usize
     }
 
     /// The half-open value/index range of row `row`.
@@ -310,7 +285,6 @@ mod tests {
             assert_eq!(q.indices(), m.indices());
             assert_eq!(q.width(), width);
             for r in 0..m.rows() {
-                assert_eq!(q.row_nnz(r), m.row_nnz(r));
                 assert_eq!(q.row_range(r).len(), m.row_nnz(r));
             }
         }
@@ -362,16 +336,5 @@ mod tests {
         assert_eq!(q.scale(), 1.0);
         assert_eq!(q.dequantize().unwrap(), z);
         assert!(q.values().is_empty());
-    }
-
-    #[test]
-    fn typed_access_matches_width() {
-        let m = sample(6, 6);
-        let q8 = QuantizedCsr::quantize(&m, QuantWidth::I8);
-        assert!(q8.values().as_i8().is_some());
-        assert!(q8.values().as_i16().is_none());
-        let q16 = QuantizedCsr::quantize(&m, QuantWidth::I16);
-        assert!(q16.values().as_i16().is_some());
-        assert!(q16.values().as_i8().is_none());
     }
 }

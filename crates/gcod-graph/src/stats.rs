@@ -1,4 +1,4 @@
-//! Block and patch density statistics.
+//! Patch density and whole-matrix statistics.
 //!
 //! Two consumers rely on these statistics:
 //!
@@ -10,38 +10,6 @@
 
 use crate::CsrMatrix;
 use serde::{Deserialize, Serialize};
-
-/// Density of one rectangular block of the adjacency matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BlockDensity {
-    /// First row of the block (inclusive).
-    pub row_start: usize,
-    /// Last row of the block (exclusive).
-    pub row_end: usize,
-    /// First column (inclusive).
-    pub col_start: usize,
-    /// Last column (exclusive).
-    pub col_end: usize,
-    /// Non-zeros inside the block.
-    pub nnz: usize,
-}
-
-impl BlockDensity {
-    /// Number of matrix positions covered by this block.
-    pub fn area(&self) -> usize {
-        (self.row_end - self.row_start) * (self.col_end - self.col_start)
-    }
-
-    /// Non-zero fraction of the block.
-    pub fn density(&self) -> f64 {
-        let area = self.area();
-        if area == 0 {
-            0.0
-        } else {
-            self.nnz as f64 / area as f64
-        }
-    }
-}
 
 /// A uniform grid of square patches over the adjacency matrix.
 ///
@@ -109,20 +77,6 @@ impl PatchGrid {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
         (0..self.grid_rows)
             .flat_map(move |pr| (0..self.grid_cols).map(move |pc| (pr, pc, self.count(pr, pc))))
-    }
-
-    /// Patches whose count is positive but below the threshold (candidates
-    /// for structural pruning).
-    pub fn sparse_patches(&self, threshold: u32) -> Vec<(usize, usize)> {
-        self.iter()
-            .filter(|&(_, _, c)| c > 0 && c < threshold)
-            .map(|(pr, pc, _)| (pr, pc))
-            .collect()
-    }
-
-    /// Number of completely empty patches.
-    pub fn empty_patches(&self) -> usize {
-        self.counts.iter().filter(|&&c| c == 0).count()
     }
 
     /// The maximum patch count (the densest patch).
@@ -211,7 +165,8 @@ fn gini(values: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CooMatrix, GeneratorConfig, GraphGenerator};
+    use crate::generators::GeneratorConfig;
+    use crate::{CooMatrix, GraphGenerator};
 
     fn block_diag_matrix() -> CsrMatrix {
         // Two dense 4x4 blocks on the diagonal of an 8x8 matrix.
@@ -237,24 +192,8 @@ mod tests {
         assert_eq!(grid.count(0, 0), 12);
         assert_eq!(grid.count(1, 1), 12);
         assert_eq!(grid.count(0, 1), 0);
-        assert_eq!(grid.empty_patches(), 2);
+        assert_eq!(grid.count(1, 0), 0);
         assert_eq!(grid.max_count(), 12);
-    }
-
-    #[test]
-    fn sparse_patches_respect_threshold() {
-        let mut coo = CooMatrix::new(8, 8);
-        coo.push(0, 7, 1.0).unwrap(); // lonely entry in the off-diagonal patch
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(0, 1, 1.0).unwrap();
-        let grid = PatchGrid::compute(&coo.to_csr(), 4);
-        let sparse = grid.sparse_patches(3);
-        assert!(sparse.contains(&(0, 1)));
-        assert!(sparse.contains(&(0, 0)));
-        assert!(
-            !sparse.contains(&(1, 1)),
-            "empty patches are not candidates"
-        );
     }
 
     #[test]
@@ -299,19 +238,6 @@ mod tests {
             "power-law graph should be unequal, gini = {}",
             stats.degree_gini
         );
-    }
-
-    #[test]
-    fn block_density_helpers() {
-        let block = BlockDensity {
-            row_start: 0,
-            row_end: 4,
-            col_start: 0,
-            col_end: 2,
-            nnz: 4,
-        };
-        assert_eq!(block.area(), 8);
-        assert!((block.density() - 0.5).abs() < 1e-12);
     }
 
     #[test]

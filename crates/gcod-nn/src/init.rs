@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// The limit matches the initialisation used by the reference GCN
 /// implementation the paper builds on.
-pub fn glorot_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
+pub(crate) fn glorot_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let limit = (6.0 / (rows + cols) as f64).sqrt();
     let data = (0..rows * cols)
@@ -19,7 +19,7 @@ pub fn glorot_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
 }
 
 /// Zero initialisation (used for biases).
-pub fn zeros(rows: usize, cols: usize) -> Tensor {
+pub(crate) fn zeros(rows: usize, cols: usize) -> Tensor {
     Tensor::zeros(rows, cols)
 }
 

@@ -55,7 +55,7 @@ impl Activation {
     /// # Errors
     ///
     /// Returns [`crate::NnError::ShapeMismatch`] when the shapes differ.
-    pub fn apply_grad(
+    pub(crate) fn apply_grad(
         self,
         grad_output: &Tensor,
         pre_activation: &Tensor,
@@ -106,8 +106,6 @@ pub enum Propagation {
         /// widen the combination workload).
         heads: usize,
     },
-    /// No aggregation: plain MLP layer (used for readouts).
-    Identity,
 }
 
 impl Propagation {
@@ -130,7 +128,6 @@ impl Propagation {
                 coo.to_csr()
             }
             Propagation::Attention { .. } => attention_matrix(adj, h),
-            Propagation::Identity => CsrMatrix::identity(adj.rows()),
         }
     }
 
@@ -208,13 +205,14 @@ impl DenseLayer {
     }
 
     /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_params(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
 }
 
 /// The two intermediates of one layer step, handed back by move from
-/// [`graph_conv_forward`]; exactly what [`graph_conv_backward`] reads.
+/// `graph_conv_forward`; exactly what `graph_conv_backward` reads.
 ///
 /// Neither the layer *input* nor its post-activation *output* is cached: the
 /// backward pass never reads them (gradients flow through `aggregated` and
@@ -230,7 +228,7 @@ pub struct LayerCache {
 
 /// Gradients of one layer.
 #[derive(Debug, Clone)]
-pub struct LayerGrads {
+pub(crate) struct LayerGrads {
     /// Gradient of the weight matrix.
     pub weight: Tensor,
     /// Gradient of the bias row.
@@ -255,7 +253,7 @@ pub struct LayerGrads {
 /// # Errors
 ///
 /// Returns [`crate::NnError::ShapeMismatch`] when the dimensions are inconsistent.
-pub fn graph_conv_forward(
+pub(crate) fn graph_conv_forward(
     layer: &DenseLayer,
     propagation: &CsrMatrix,
     x: &Tensor,
@@ -303,7 +301,7 @@ pub(crate) fn residual_applies(residual: bool, index: usize, d_in: usize, d_out:
 ///
 /// Returns [`crate::NnError::ShapeMismatch`] when the dimensions or operand
 /// widths are inconsistent.
-pub fn graph_conv_forward_quant(
+pub(crate) fn graph_conv_forward_quant(
     layer: &QuantizedLayer,
     propagation: &QuantizedCsr,
     x: &Tensor,
@@ -332,7 +330,7 @@ pub fn graph_conv_forward_quant(
 /// Bit-identity contract: the propagation rows are sliced (not
 /// renormalised) from the full-graph matrix and the column remapping is
 /// monotone in global node id, so each CSR row accumulates in exactly the
-/// full-graph order; the step itself is the same [`graph_conv_forward`] the
+/// full-graph order; the step itself is the same `graph_conv_forward` the
 /// single-process paths run (on [`NaiveCsr`], which every kernel equals bit
 /// for bit). The owned rows therefore equal the corresponding rows of the
 /// single-process forward bit for bit, at every worker count.
@@ -385,7 +383,7 @@ pub fn shard_layer_forward(
 /// # Errors
 ///
 /// Returns [`crate::NnError::ShapeMismatch`] on inconsistent shapes.
-pub fn graph_conv_backward(
+pub(crate) fn graph_conv_backward(
     layer: &DenseLayer,
     propagation: &CsrMatrix,
     cache: &LayerCache,
@@ -458,7 +456,6 @@ mod tests {
         let sym = Propagation::SymmetricNormalized.matrix(&g, &h);
         let mean = Propagation::MeanNormalized.matrix(&g, &h);
         let gin = Propagation::SumWithSelfLoop { eps: 0.1 }.matrix(&g, &h);
-        let ident = Propagation::Identity.matrix(&g, &h);
         assert_eq!(sym.rows(), g.num_nodes());
         // Mean normalization: every row sums to one.
         for r in 0..mean.rows() {
@@ -468,7 +465,6 @@ mod tests {
         }
         // GIN keeps raw edges and adds 1 + eps on the diagonal.
         assert!((gin.get(0, 0) - 1.1).abs() < 1e-6);
-        assert_eq!(ident.nnz(), g.num_nodes());
     }
 
     #[test]

@@ -13,16 +13,16 @@
 //!   degree-binned dispatch kernel — all bit-for-bit identical, selected
 //!   per run via [`kernels::KernelKind`] (see the [`kernels`] module docs
 //!   for how selection flows through training and the `gcod` facade),
-//! * Glorot initialisation ([`init`]),
+//! * Glorot initialisation (`init`),
 //! * the per-layer template `H' = σ(P·H·W + b)` ([`layers`]), spelled once
-//!   per numeric domain — [`layers::graph_conv_forward`] in f32,
-//!   [`layers::graph_conv_forward_quant`] on integers — and run by every
+//!   per numeric domain — `layers::graph_conv_forward` in f32,
+//!   `layers::graph_conv_forward_quant` on integers — and run by every
 //!   forward path: lean inference, the cached training pass, quantized
 //!   inference and the shard workers ([`layers::shard_layer_forward`]),
 //! * the model zoo ([`models`]) covering Table IV of the paper, one layer
 //!   loop shared by all of those paths,
 //! * manual-gradient training for the two-layer GCN (the model the GCoD
-//!   graph-tuning loss is formulated on), with an [`optim::Adam`] optimiser
+//!   graph-tuning loss is formulated on), with an `optim::Adam` optimiser
 //!   and cross-entropy loss,
 //! * a real int8/int16 compute path ([`quant`] for storage and the
 //!   [`QuantizedModel`] runner, [`qkernels`] for the integer SpMM/GEMM
@@ -53,16 +53,15 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
-pub mod init;
+mod init;
 pub mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod metrics;
 pub mod models;
-pub mod optim;
+mod optim;
 pub mod qkernels;
 pub mod quant;
-pub mod sampling;
 pub mod sparse_ops;
 mod tensor;
 pub mod train;

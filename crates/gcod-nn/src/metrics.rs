@@ -24,28 +24,6 @@ pub fn masked_accuracy(logits: &Tensor, labels: &[u32], mask: &NodeMask) -> f64 
     }
 }
 
-/// Confusion matrix over the masked nodes (`classes × classes`,
-/// rows = ground truth, columns = prediction).
-pub fn confusion_matrix(
-    logits: &Tensor,
-    labels: &[u32],
-    mask: &NodeMask,
-    classes: usize,
-) -> Vec<Vec<usize>> {
-    let predictions = logits.argmax_rows();
-    let mut matrix = vec![vec![0usize; classes]; classes];
-    for node in mask.iter() {
-        if node < labels.len() {
-            let truth = labels[node] as usize;
-            let pred = predictions[node].min(classes.saturating_sub(1));
-            if truth < classes {
-                matrix[truth][pred] += 1;
-            }
-        }
-    }
-    matrix
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,16 +48,5 @@ mod tests {
     fn empty_mask_gives_zero() {
         let logits = Tensor::zeros(2, 2);
         assert_eq!(masked_accuracy(&logits, &[0, 0], &NodeMask::new(2)), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts() {
-        let logits = Tensor::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.0, 1.0]).unwrap();
-        let labels = vec![0, 1, 0];
-        let mask = NodeMask::from_indices(3, &[0, 1, 2]);
-        let cm = confusion_matrix(&logits, &labels, &mask, 2);
-        assert_eq!(cm[0][0], 1); // node 0 correct
-        assert_eq!(cm[1][1], 1); // node 1 correct
-        assert_eq!(cm[0][1], 1); // node 2 mispredicted as class 1
     }
 }

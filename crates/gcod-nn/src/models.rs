@@ -111,7 +111,7 @@ impl ModelConfig {
     }
 
     /// Three-layer GIN configuration for `graph`.
-    pub fn gin(graph: &Graph) -> Self {
+    pub(crate) fn gin(graph: &Graph) -> Self {
         Self {
             kind: ModelKind::Gin,
             num_layers: 3,
@@ -121,7 +121,7 @@ impl ModelConfig {
     }
 
     /// Two-layer GraphSAGE configuration for `graph`.
-    pub fn graphsage(graph: &Graph) -> Self {
+    pub(crate) fn graphsage(graph: &Graph) -> Self {
         Self {
             kind: ModelKind::GraphSage,
             ..Self::gcn(graph)
@@ -139,7 +139,7 @@ impl ModelConfig {
     }
 
     /// 28-layer ResGCN configuration for `graph`.
-    pub fn resgcn(graph: &Graph) -> Self {
+    pub(crate) fn resgcn(graph: &Graph) -> Self {
         Self {
             kind: ModelKind::ResGcn,
             hidden_dim: 128,
@@ -172,7 +172,7 @@ impl ModelConfig {
 
     /// Effective hidden width including attention heads (GAT concatenates
     /// heads, so the combination workload sees `hidden_dim * heads`).
-    pub fn effective_hidden_dim(&self) -> usize {
+    pub(crate) fn effective_hidden_dim(&self) -> usize {
         self.hidden_dim * self.heads.max(1)
     }
 
@@ -360,7 +360,8 @@ impl GnnModel {
     }
 
     /// Total number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_params(&self) -> usize {
         self.layers.iter().map(DenseLayer::num_params).sum()
     }
 

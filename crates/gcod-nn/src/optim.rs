@@ -1,13 +1,12 @@
 //! First-order optimisers.
 //!
-//! The paper trains all models with Adam (lr = 0.01) for 400 epochs; SGD is
-//! provided as well for the ablation tests of the training pipeline.
+//! The paper trains all models with Adam (lr = 0.01) for 400 epochs.
 
 use crate::Tensor;
 
 /// Adam optimiser with bias-corrected first and second moments.
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     learning_rate: f32,
     beta1: f32,
     beta2: f32,
@@ -20,7 +19,7 @@ pub struct Adam {
 
 impl Adam {
     /// Creates an Adam optimiser with the paper's default learning rate 0.01.
-    pub fn new(learning_rate: f32) -> Self {
+    pub(crate) fn new(learning_rate: f32) -> Self {
         Self {
             learning_rate,
             beta1: 0.9,
@@ -34,14 +33,9 @@ impl Adam {
     }
 
     /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
+    pub(crate) fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
         self
-    }
-
-    /// Current step counter.
-    pub fn steps_taken(&self) -> u64 {
-        self.step
     }
 
     /// Applies one update step. `params` and `grads` must be parallel slices
@@ -52,7 +46,7 @@ impl Adam {
     ///
     /// Panics if `params.len() != grads.len()` or a shape changes between
     /// calls.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
+    pub(crate) fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         if self.first_moments.is_empty() {
             self.first_moments = grads
@@ -90,34 +84,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    learning_rate: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(learning_rate: f32) -> Self {
-        Self { learning_rate }
-    }
-
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != grads.len()`.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        for (param, grad) in params.iter_mut().zip(grads) {
-            let pdata = param.data_mut();
-            for (p, &g) in pdata.iter_mut().zip(grad.data()) {
-                *p -= self.learning_rate * g;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +103,6 @@ mod tests {
         let mut adam = Adam::new(0.1);
         let x = quadratic_descent(|x, g| adam.step(&mut [x], std::slice::from_ref(g)));
         assert!((x - 3.0).abs() < 0.1, "converged to {x}");
-        assert_eq!(adam.steps_taken(), 300);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.05);
-        let x = quadratic_descent(|x, g| sgd.step(&mut [x], std::slice::from_ref(g)));
-        assert!((x - 3.0).abs() < 0.01, "converged to {x}");
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   activations are quantized, aggregated and combined in the integer
 //!   domain (i32 accumulation for int8, i64 for int16), and dequantized
 //!   only at the operator boundary (bias, activation and residual stay
-//!   f32),
-//! * [`quantization_accuracy_drop`] — the Table VII comparison entry point.
+//!   f32).
 //!
 //! Selecting a quantized [`Precision`] on a [`GnnModel`] (via
 //! [`GnnModel::with_precision`]) routes its *inference* path
@@ -273,27 +272,10 @@ impl QuantizedModel {
     }
 }
 
-/// Accuracy drop (in absolute fraction) between fp32 and INT8 inference on
-/// the test mask. Positive values mean the quantized model is worse.
-///
-/// Unlike the pre-quantized-path versions of this crate, the INT8 number
-/// comes from the real integer kernels, not from weights round-tripped
-/// through int8 and evaluated in f32.
-///
-/// # Errors
-///
-/// Propagates forward-pass shape errors.
-pub fn quantization_accuracy_drop(model: &GnnModel, graph: &Graph) -> Result<f64> {
-    let fp32 = model.forward(graph)?;
-    let int8 = QuantizedModel::from_model(model, QuantWidth::I8).forward(graph)?;
-    let acc_fp32 = crate::metrics::masked_accuracy(&fp32, graph.labels(), graph.test_mask());
-    let acc_int8 = crate::metrics::masked_accuracy(&int8, graph.labels(), graph.test_mask());
-    Ok(acc_fp32 - acc_int8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::masked_accuracy;
     use crate::models::ModelConfig;
     use crate::train::{TrainConfig, Trainer};
     use gcod_graph::{DatasetProfile, GraphGenerator};
@@ -364,7 +346,12 @@ mod tests {
         })
         .fit(&mut model, &g)
         .unwrap();
-        let drop = quantization_accuracy_drop(&model, &g).unwrap();
+        // Both accuracies come from real kernels: the INT8 side runs the
+        // integer path, not weights round-tripped through int8 in f32.
+        let accuracy = |logits: &Tensor| masked_accuracy(logits, g.labels(), g.test_mask());
+        let fp32 = accuracy(&model.forward(&g).unwrap());
+        let int8_model = QuantizedModel::from_model(&model, QuantWidth::I8);
+        let drop = fp32 - accuracy(&int8_model.forward(&g).unwrap());
         // Table VII reports sub-1% drops; allow a loose bound for the small
         // synthetic graph.
         assert!(drop.abs() < 0.1, "unexpected quantization drop {drop}");

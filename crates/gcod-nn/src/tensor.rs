@@ -95,7 +95,7 @@ impl Tensor {
     }
 
     /// Mutable access to the underlying data slice (row-major).
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -329,7 +329,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
+    pub(crate) fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -361,7 +361,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn zip_with<F>(&self, other: &Tensor, op: F, name: &str) -> Result<Tensor>
+    pub(crate) fn zip_with<F>(&self, other: &Tensor, op: F, name: &str) -> Result<Tensor>
     where
         F: Fn(f32, f32) -> f32,
     {
@@ -428,20 +428,20 @@ impl Tensor {
     }
 
     /// ReLU non-linearity.
-    pub fn relu(&self) -> Tensor {
+    pub(crate) fn relu(&self) -> Tensor {
         self.map(|v| v.max(0.0))
     }
 
     /// ReLU in place (allocation-free form of [`Tensor::relu`], numerically
     /// identical).
-    pub fn relu_in_place(&mut self) {
+    pub(crate) fn relu_in_place(&mut self) {
         for v in &mut self.data {
             *v = v.max(0.0);
         }
     }
 
     /// Row-wise softmax (numerically stabilised).
-    pub fn softmax_rows(&self) -> Tensor {
+    pub(crate) fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..self.rows {
             let row = &mut out.data[r * self.cols..(r + 1) * self.cols];

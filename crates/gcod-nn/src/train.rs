@@ -10,8 +10,8 @@
 //! [`GnnModel::forward`]'s lean, cache-free path) all inherit the model's
 //! kernel and worker settings, so the whole epoch — sparse aggregation and
 //! dense combination alike — is multi-core while staying bit-deterministic
-//! across worker counts. `benches/train.rs` in `gcod-bench` sweeps exactly
-//! this loop over workers × datasets.
+//! across worker counts. `benches/train.rs` in `gcod-bench` times exactly
+//! this loop across datasets.
 
 use crate::loss::masked_cross_entropy;
 use crate::metrics::masked_accuracy;
@@ -159,26 +159,12 @@ impl Trainer {
             curve,
         })
     }
-
-    /// Evaluates a trained model without updating it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass shape errors.
-    pub fn evaluate(&self, model: &GnnModel, graph: &Graph) -> Result<(f64, f64, f64)> {
-        let logits = model.forward(graph)?;
-        Ok((
-            masked_accuracy(&logits, graph.labels(), graph.train_mask()),
-            masked_accuracy(&logits, graph.labels(), graph.val_mask()),
-            masked_accuracy(&logits, graph.labels(), graph.test_mask()),
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{ModelConfig, ModelKind};
+    use crate::models::ModelConfig;
     use gcod_graph::{DatasetProfile, GraphGenerator};
 
     fn graph() -> Graph {
@@ -195,7 +181,7 @@ mod tests {
             epochs: 60,
             ..TrainConfig::default()
         });
-        let before = trainer.evaluate(&model, &g).unwrap().0;
+        let before = masked_accuracy(&model.forward(&g).unwrap(), g.labels(), g.train_mask());
         let report = trainer.fit(&mut model, &g).unwrap();
         assert!(report.final_train_accuracy > before.max(0.5));
         assert!(
@@ -296,17 +282,5 @@ mod tests {
             .final_train_accuracy
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn evaluate_does_not_mutate_model() {
-        let g = graph();
-        let model = GnnModel::new(ModelConfig::for_kind(ModelKind::Gcn, &g), 0).unwrap();
-        let before = model.forward(&g).unwrap();
-        let _ = Trainer::new(TrainConfig::default())
-            .evaluate(&model, &g)
-            .unwrap();
-        let after = model.forward(&g).unwrap();
-        assert_eq!(before, after);
     }
 }

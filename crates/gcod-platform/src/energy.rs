@@ -98,11 +98,6 @@ impl EnergyBreakdown {
         self.compute_combination + self.on_chip_combination + self.off_chip_combination
     }
 
-    /// Energy attributable to the aggregation phase.
-    pub fn aggregation_total(&self) -> f64 {
-        self.compute_aggregation + self.on_chip_aggregation + self.off_chip_aggregation
-    }
-
     /// Fractional breakdown in the order Fig. 12 stacks its bars:
     /// `[comb compute, comb on-chip, comb off-chip,
     ///   aggr compute, aggr on-chip, aggr off-chip]`.
@@ -141,7 +136,8 @@ mod tests {
         traffic.move_on_chip(Phase::Combination, 5_000_000);
         let b =
             EnergyBreakdown::from_counts(&EnergyModel::default(), 10_000_000, 5_000_000, &traffic);
-        let parts = b.combination_total() + b.aggregation_total();
+        let aggregation = b.compute_aggregation + b.on_chip_aggregation + b.off_chip_aggregation;
+        let parts = b.combination_total() + aggregation;
         assert!((parts - b.total()).abs() < 1e-15);
         let fracs = b.fractions();
         let sum: f64 = fracs.iter().sum();

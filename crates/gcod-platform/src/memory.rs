@@ -71,13 +71,8 @@ impl TrafficCounter {
             + self.off_chip_write_aggregation
     }
 
-    /// Total on-chip bytes.
-    pub fn total_on_chip(&self) -> u64 {
-        self.on_chip_combination + self.on_chip_aggregation
-    }
-
     /// Off-chip bytes attributable to one phase.
-    pub fn off_chip_for(&self, phase: Phase) -> u64 {
+    pub(crate) fn off_chip_for(&self, phase: Phase) -> u64 {
         match phase {
             Phase::Combination => self.off_chip_read_combination + self.off_chip_write_combination,
             Phase::Aggregation => self.off_chip_read_aggregation + self.off_chip_write_aggregation,
@@ -88,15 +83,6 @@ impl TrafficCounter {
     /// (e.g. a 64-byte HBM burst).
     pub fn off_chip_accesses(&self, access_bytes: u64) -> u64 {
         self.total_off_chip().div_ceil(access_bytes.max(1))
-    }
-
-    /// Average bandwidth (GB/s) needed to move the off-chip traffic within
-    /// `latency_seconds`.
-    pub fn required_bandwidth_gbps(&self, latency_seconds: f64) -> f64 {
-        if latency_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.total_off_chip() as f64 / latency_seconds / 1.0e9
     }
 
     /// Merges another counter into this one.
@@ -124,7 +110,7 @@ mod tests {
         assert_eq!(t.total_off_chip(), 350);
         assert_eq!(t.off_chip_for(Phase::Combination), 150);
         assert_eq!(t.off_chip_for(Phase::Aggregation), 200);
-        assert_eq!(t.total_on_chip(), 1000);
+        assert_eq!(t.on_chip_aggregation, 1000);
     }
 
     #[test]
@@ -136,15 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_requirement() {
-        let mut t = TrafficCounter::new();
-        t.read_off_chip(Phase::Combination, 2_000_000_000);
-        assert!((t.required_bandwidth_gbps(1.0) - 2.0).abs() < 1e-9);
-        assert!((t.required_bandwidth_gbps(0.5) - 4.0).abs() < 1e-9);
-        assert_eq!(t.required_bandwidth_gbps(0.0), 0.0);
-    }
-
-    #[test]
     fn merge_adds_all_fields() {
         let mut a = TrafficCounter::new();
         a.read_off_chip(Phase::Combination, 10);
@@ -153,6 +130,6 @@ mod tests {
         b.move_on_chip(Phase::Combination, 5);
         a.merge(&b);
         assert_eq!(a.total_off_chip(), 30);
-        assert_eq!(a.total_on_chip(), 5);
+        assert_eq!(a.on_chip_combination, 5);
     }
 }

@@ -48,7 +48,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod queue;
+mod queue;
 pub mod reactor;
 pub mod sync;
 
@@ -295,7 +295,8 @@ impl RecoveryGate {
     }
 
     /// Completed recovery cycles so far.
-    pub fn generation(&self) -> u64 {
+    #[cfg(test)]
+    fn generation(&self) -> u64 {
         self.state.lock_unpoisoned().generation
     }
 }
@@ -330,7 +331,7 @@ static GLOBAL_POOL: OnceLock<Pool> = OnceLock::new();
 impl Pool {
     /// The process-wide pool, started lazily on first use.
     ///
-    /// The worker count comes from [`worker_count_from_env`] applied to the
+    /// The worker count comes from `worker_count_from_env` applied to the
     /// `GCOD_WORKERS` environment variable, read once at first access.
     pub fn global() -> &'static Pool {
         GLOBAL_POOL.get_or_init(Pool::from_env)
@@ -338,7 +339,7 @@ impl Pool {
 
     /// A pool sized by the `GCOD_WORKERS` environment variable (see
     /// [`worker_count_from_env`]).
-    pub fn from_env() -> Pool {
+    pub(crate) fn from_env() -> Pool {
         Pool::new(worker_count_from_env(
             std::env::var("GCOD_WORKERS").ok().as_deref(),
         ))
@@ -562,7 +563,7 @@ fn worker_loop(shared: &SyncQueue<Job>) {
 /// Unset, empty, `0`, `auto` and unparsable values all select
 /// [`std::thread::available_parallelism`] (1 when unavailable); an explicit
 /// positive integer is honoured as-is.
-pub fn worker_count_from_env(value: Option<&str>) -> usize {
+pub(crate) fn worker_count_from_env(value: Option<&str>) -> usize {
     let auto = || {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

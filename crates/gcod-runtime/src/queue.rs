@@ -35,12 +35,6 @@ impl<P> PushError<P> {
             PushError::Full(p) | PushError::Closed(p) => p,
         }
     }
-
-    /// Whether the rejection was capacity backpressure (as opposed to
-    /// shutdown).
-    pub fn is_full(&self) -> bool {
-        matches!(self, PushError::Full(_))
-    }
 }
 
 /// Outcome of a [`SyncQueue::pop_timeout`] call.
@@ -60,7 +54,7 @@ struct Inner<T> {
 }
 
 /// A blocking MPMC queue with optional capacity and close-to-shut-down
-/// semantics (see the [module docs](self)).
+/// semantics (see the `queue` module docs).
 pub struct SyncQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -197,7 +191,7 @@ impl<T> SyncQueue<T> {
     /// [`PushError::Closed`] after close, [`PushError::Full`] when a bounded
     /// queue cannot absorb the entire batch; the untouched batch is returned
     /// inside the error — partial pushes never happen.
-    pub fn push_many(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
+    pub(crate) fn push_many(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
         if items.is_empty() {
             return Ok(());
         }
@@ -305,8 +299,7 @@ mod tests {
         q.try_push("a").unwrap();
         q.try_push("b").unwrap();
         let err = q.try_push("c").unwrap_err();
-        assert!(err.is_full());
-        assert_eq!(err.into_inner(), "c");
+        assert_eq!(err, PushError::Full("c"));
         // Popping frees a slot.
         assert_eq!(q.try_pop(), Some("a"));
         q.try_push("c").unwrap();

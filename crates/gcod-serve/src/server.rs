@@ -321,13 +321,6 @@ impl Server {
         }
     }
 
-    /// Replaces the backend platform suite the router scores.
-    #[must_use]
-    pub fn with_platforms(mut self, platforms: Vec<Box<dyn Platform>>) -> Self {
-        self.platforms = platforms;
-        self
-    }
-
     /// Registers a served model (replacing any previous model of the same
     /// name).
     #[must_use]
@@ -352,7 +345,7 @@ impl Server {
     }
 
     /// Names of every served model, sorted.
-    pub fn model_names(&self) -> Vec<String> {
+    pub(crate) fn model_names(&self) -> Vec<String> {
         self.models.keys().cloned().collect()
     }
 
@@ -707,13 +700,13 @@ impl SubmitOptions {
 
     /// The requested deadline, if any.
     #[must_use]
-    pub fn deadline_within(&self) -> Option<Duration> {
+    pub(crate) fn deadline_within(&self) -> Option<Duration> {
         self.deadline
     }
 
     /// Whether a full queue blocks instead of rejecting.
     #[must_use]
-    pub fn is_blocking(&self) -> bool {
+    pub(crate) fn is_blocking(&self) -> bool {
         self.blocking
     }
 }

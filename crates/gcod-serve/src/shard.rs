@@ -395,11 +395,6 @@ impl ShutdownReport {
     pub fn is_clean(&self) -> bool {
         self.outcomes.iter().all(|o| o.error.is_none() && o.reaped)
     }
-
-    /// The first wire/protocol error met while saying goodbye, if any.
-    pub fn first_error(&self) -> Option<&str> {
-        self.outcomes.iter().find_map(|o| o.error.as_deref())
-    }
 }
 
 /// Supervisor failure taxonomy (see the module docs for the recovery

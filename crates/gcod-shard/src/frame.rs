@@ -15,22 +15,28 @@
 //! The length covers the version byte plus the payload; the CRC is the
 //! IEEE CRC-32 of those same bytes, so a flipped bit anywhere in the body
 //! (including the version) is caught before decoding is attempted. The
-//! length itself is sanity-capped at [`MAX_FRAME_LEN`] so a corrupt header
-//! cannot trigger a giant allocation.
+//! length itself is sanity-capped at [`MAX_FRAME_LEN`], and the body buffer
+//! grows only as bytes arrive, so a corrupt header cannot trigger a giant
+//! allocation.
 
 use std::io::{ErrorKind, Read, Write};
 
 use crate::wire::{Wire, WireError, WireReader, WireResult};
 
 /// Wire protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub(crate) const PROTOCOL_VERSION: u8 = 1;
 
 /// Maximum accepted frame body length (version byte + payload).
 ///
 /// Large enough for a full `ShardSpec` of a Reddit-scale shard (features
 /// dominate: ~60k rows x 602 f32 columns is ~145 MB), small enough to
-/// reject garbage length prefixes long before `Vec::with_capacity` hurts.
-pub const MAX_FRAME_LEN: u64 = 1 << 30;
+/// reject garbage length prefixes outright.
+pub(crate) const MAX_FRAME_LEN: u64 = 1 << 30;
+
+/// Body bytes reserved before any of them has arrived: a frame up to this
+/// size is read in one call into a buffer of its exact length; a longer one
+/// grows with the bytes actually received.
+const BODY_PREALLOC: usize = 64 * 1024;
 
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
@@ -131,9 +137,20 @@ pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> WireResult<(T, usize)> {
             context: "frame body length 0 (missing version byte)".to_string(),
         });
     }
-    let mut body = vec![0u8; len as usize];
+    let len = len as usize;
+    let mut body = vec![0u8; len.min(BODY_PREALLOC)];
     r.read_exact(&mut body)
         .map_err(|e| io_err("read frame body", e))?;
+    if len > body.len() {
+        let rest = (len - body.len()) as u64;
+        r.by_ref()
+            .take(rest)
+            .read_to_end(&mut body)
+            .map_err(|e| io_err("read frame body", e))?;
+        if body.len() < len {
+            return Err(io_err("read frame body", ErrorKind::UnexpectedEof.into()));
+        }
+    }
     let mut crc_buf = [0u8; 4];
     r.read_exact(&mut crc_buf)
         .map_err(|e| io_err("read frame checksum", e))?;
@@ -224,6 +241,47 @@ mod tests {
             matches!(err, WireError::FrameTooLarge { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn corrupt_length_prefix_reserves_at_most_one_chunk() {
+        /// Records the largest buffer the frame reader asks it to fill.
+        struct LargestAsk<R> {
+            inner: R,
+            largest: usize,
+        }
+        impl<R: Read> Read for LargestAsk<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.inner.read(buf)
+            }
+        }
+        let mut buf = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0xA5; 16]);
+        let mut reader = LargestAsk {
+            inner: Cursor::new(buf),
+            largest: 0,
+        };
+        let err = read_frame::<_, String>(&mut reader).expect_err("must fail");
+        assert!(matches!(err, WireError::Io { .. }), "got {err:?}");
+        assert!(
+            reader.largest <= BODY_PREALLOC,
+            "asked for {}",
+            reader.largest
+        );
+    }
+
+    #[test]
+    fn body_longer_than_one_chunk_round_trips() {
+        let mut buf = Vec::new();
+        let msg = "x".repeat(3 * BODY_PREALLOC + 17);
+        write_frame(&mut buf, &msg).expect("write");
+        let (back, consumed): (String, usize) = read_frame(&mut Cursor::new(&buf)).expect("read");
+        assert_eq!(back, msg);
+        assert_eq!(consumed, buf.len());
+        buf.truncate(buf.len() - 4 - BODY_PREALLOC);
+        let err = read_frame::<_, String>(&mut Cursor::new(&buf)).expect_err("must fail");
+        assert!(matches!(err, WireError::Io { .. }), "got {err:?}");
     }
 
     #[test]

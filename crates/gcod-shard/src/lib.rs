@@ -9,19 +9,19 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`wire`] — hand-rolled, zero-dependency binary serialisation with
+//! * `wire` — hand-rolled, zero-dependency binary serialisation with
 //!   fully-typed decode errors (corrupt bytes never panic),
-//! * [`frame`] — length-prefixed frames with a version byte and CRC-32,
-//! * [`proto`] — the shard control messages ([`ShardRequest`] /
+//! * `frame` — length-prefixed frames with a version byte and CRC-32,
+//! * `proto` — the shard control messages ([`ShardRequest`] /
 //!   [`ShardReply`]) and the self-contained [`ShardSpec`],
-//! * [`transport`] — Unix-domain sockets with a TCP loopback fallback,
+//! * `transport` — Unix-domain sockets with a TCP loopback fallback,
 //!   with per-connection read/write deadlines,
-//! * [`fault`] — deterministic, [`FaultPlan`]-scripted fault injection
+//! * `fault` — deterministic, [`FaultPlan`]-scripted fault injection
 //!   ([`ChaosConn`] drops/delays/truncates/corrupts scripted frames) so
 //!   the supervisor's recovery paths are tested, not hoped for,
-//! * [`plan`] — [`ShardPlan`]: partition the graph, slice propagation
+//! * `plan` — [`ShardPlan`]: partition the graph, slice propagation
 //!   rows, build the halo-exchange routing map,
-//! * [`worker`] — the [`ShardWorker`] state machine plus the socket loop
+//! * [`worker`] — the `ShardWorker` state machine plus the socket loop
 //!   and CLI entry point worker binaries delegate to.
 //!
 //! The router side (scatter requests, relay halo activations, gather and
@@ -42,19 +42,19 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
-pub mod fault;
-pub mod frame;
-pub mod plan;
-pub mod proto;
-pub mod transport;
-pub mod wire;
+mod fault;
+mod frame;
+mod plan;
+mod proto;
+mod transport;
+mod wire;
 pub mod worker;
 
 pub use error::{Result, ShardError};
 pub use fault::{ChaosConn, FaultAction, FaultEntry, FaultPlan};
-pub use frame::{crc32, read_frame, write_frame, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use frame::{crc32, read_frame, write_frame};
 pub use plan::{ShardPlan, ShardPlanConfig};
 pub use proto::{ShardReply, ShardRequest, ShardSpec};
 pub use transport::{ShardAddr, ShardConn, ShardListener, TransportKind};
 pub use wire::{Wire, WireError, WireReader, WireResult};
-pub use worker::{run as run_worker, worker_main, ShardWorker};
+pub use worker::{run as run_worker, worker_main};

@@ -56,9 +56,6 @@ struct PlanShard {
     owned: Vec<usize>,
     /// Global ids of halo nodes, ascending (= local order of halo rows).
     halo: Vec<usize>,
-    /// Global ids this shard exports after every non-final layer,
-    /// ascending; parallel to `spec.export_rows`.
-    export_nodes: Vec<usize>,
     /// Per halo node (in `halo` order): which shard owns it and the index
     /// of its row inside that shard's `LayerDone` export tensor.
     halo_sources: Vec<(u32, u32)>,
@@ -232,7 +229,6 @@ impl ShardPlan {
                 },
                 owned: owned.clone(),
                 halo: halo.clone(),
-                export_nodes: export_nodes_by_shard[s].clone(),
                 halo_sources,
             });
         }
@@ -279,7 +275,8 @@ impl ShardPlan {
     }
 
     /// The underlying graph partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
+    #[cfg(test)]
+    fn partitioning(&self) -> &Partitioning {
         &self.partitioning
     }
 
@@ -309,8 +306,14 @@ impl ShardPlan {
     }
 
     /// Global ids one shard exports after every non-final layer.
-    pub fn export_nodes(&self, shard: usize) -> &[usize] {
-        &self.shards[shard].export_nodes
+    #[cfg(test)]
+    fn export_nodes(&self, shard: usize) -> Vec<usize> {
+        let s = &self.shards[shard];
+        s.spec
+            .export_rows
+            .iter()
+            .map(|&r| s.owned[r as usize])
+            .collect()
     }
 
     /// Total halo nodes across all shards (replication overhead).

@@ -63,17 +63,17 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// Number of nodes this shard owns.
-    pub fn owned_count(&self) -> usize {
+    pub(crate) fn owned_count(&self) -> usize {
         self.owned_pos.len()
     }
 
     /// Number of halo (replicated boundary) nodes this shard reads.
-    pub fn halo_count(&self) -> usize {
+    pub(crate) fn halo_count(&self) -> usize {
         self.halo_pos.len()
     }
 
     /// Total local nodes (owned + halo).
-    pub fn local_count(&self) -> usize {
+    pub(crate) fn local_count(&self) -> usize {
         self.owned_pos.len() + self.halo_pos.len()
     }
 }

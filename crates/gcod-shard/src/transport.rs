@@ -192,7 +192,7 @@ impl Drop for ShardListener {
 }
 
 /// One established shard connection; [`Read`]/[`Write`] delegate to the
-/// underlying stream so the [frame](crate::frame) layer is
+/// underlying stream so the frame layer is
 /// transport-agnostic.
 #[derive(Debug)]
 pub enum ShardConn {

@@ -64,7 +64,7 @@ pub enum WireError {
         /// Offending tag byte.
         tag: u8,
     },
-    /// A frame header announced a length above [`crate::MAX_FRAME_LEN`].
+    /// A frame header announced a length above `MAX_FRAME_LEN`.
     FrameTooLarge {
         /// Announced body length.
         len: u64,

@@ -1,7 +1,7 @@
 //! The shard worker: loads one [`ShardSpec`] and serves partial forward
 //! passes over a socket.
 //!
-//! The protocol state machine lives in [`ShardWorker::handle`], a pure
+//! The protocol state machine lives in `ShardWorker::handle`, a pure
 //! function from request to reply, so the whole worker can be unit-tested
 //! without sockets; [`run`] wires it to a [`ShardConn`] and
 //! [`worker_main`] is the CLI entry point the `shard_worker` binary (and
@@ -31,23 +31,24 @@ struct LoadedShard {
 /// Errors never tear the worker down: a bad request yields a
 /// [`ShardReply::Err`] and the connection stays usable.
 #[derive(Debug, Default)]
-pub struct ShardWorker {
+pub(crate) struct ShardWorker {
     state: Option<LoadedShard>,
 }
 
 impl ShardWorker {
     /// A worker with no shard loaded yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether a shard has been loaded.
-    pub fn is_loaded(&self) -> bool {
+    #[cfg(test)]
+    fn is_loaded(&self) -> bool {
         self.state.is_some()
     }
 
     /// Process one request, producing the reply to send back.
-    pub fn handle(&mut self, request: ShardRequest) -> ShardReply {
+    pub(crate) fn handle(&mut self, request: ShardRequest) -> ShardReply {
         match self.try_handle(request) {
             Ok(reply) => reply,
             Err(message) => ShardReply::Err { message },
