@@ -1,24 +1,19 @@
-//! CI smoke driver and row generator for the open-loop serving load
-//! generator ([`gcod_bench::load`]).
+//! CI smoke driver for the open-loop serving load generator
+//! ([`gcod_bench::load`]).
 //!
-//! Default (smoke) mode runs a tiny Poisson sweep and asserts the
-//! serving-layer invariants the reactor guarantees:
+//! Runs a tiny Poisson sweep and asserts the serving-layer invariants the
+//! reactor guarantees:
 //!
 //! * **zero lost tickets** — every accepted submission resolves (the
 //!   drain-on-shutdown contract, observed end-to-end under load);
 //! * **count conservation** — offered = completed + rejected + lost;
 //! * **monotone quantiles** — p50 ≤ p99 ≤ p999 per offered load.
 //!
-//! `--rows` mode runs the full committed sweep ([`load::OPEN_LOOP_LOADS`] ×
-//! [`load::OPEN_LOOP_REQUESTS`] requests) and prints the
-//! `BENCH_serve.json`-shaped open-loop rows, ready to append to the
-//! committed file (the `bench_gate` binary then re-measures and gates
-//! them like every other serve row).
-//!
-//! Exits non-zero on any violated invariant.
+//! It prints the per-load quantiles for a reader, but records no perf
+//! numbers: serving wall-clock is measured by the frozen benchmark
+//! (`benchmark/README.md`). Exits non-zero on any violated invariant.
 
 use gcod_bench::load::{self, OpenLoopReport};
-use gcod_runtime::Pool;
 
 fn check_invariants(report: &OpenLoopReport) -> Result<(), String> {
     let label = format!("load {:.0} rps", report.offered_rps);
@@ -68,32 +63,21 @@ fn print_report(report: &OpenLoopReport) {
 }
 
 fn main() {
-    let rows_mode = std::env::args().any(|a| a == "--rows");
-    let (loads, requests): (&[f64], usize) = if rows_mode {
-        (load::OPEN_LOOP_LOADS, load::OPEN_LOOP_REQUESTS)
-    } else {
-        // Smoke: small enough for CI, large enough that the tail buckets
-        // are populated and a lost wakeup would be caught.
-        (&[200.0, 1500.0], 60)
-    };
+    // Small enough for CI, large enough that the tail buckets are populated
+    // and a lost wakeup would be caught.
+    let loads = [200.0, 1500.0];
+    let requests = 60;
 
     println!(
         "open-loop load harness: {} loads x {requests} requests (seed 7)",
         loads.len()
     );
-    let reports = load::sweep_open_loop(loads, requests, 7);
+    let reports = load::sweep_open_loop(&loads, requests, 7);
     let mut failures = Vec::new();
     for report in &reports {
         print_report(report);
         if let Err(message) = check_invariants(report) {
             failures.push(message);
-        }
-    }
-
-    if rows_mode {
-        println!("\nBENCH_serve.json open-loop rows:");
-        for row in load::open_loop_summary_rows(&reports, Pool::global().workers()) {
-            println!("{row},");
         }
     }
 

@@ -16,15 +16,16 @@
 //!   producing latency /
 //!   bandwidth / traffic / energy reports that the figure generators print.
 //!
-//! Every binary in `src/bin/` is one table or figure; `cargo bench`
-//! (criterion) covers the kernel-level measurements.
+//! Every binary in `src/bin/` but `load_harness` is one table or figure;
+//! [`load`] is the open-loop serving smoke `load_harness` drives, and
+//! `cargo bench` (criterion) times the partitioner, the graph tuning and
+//! one Fig. 9 column. Wall-clock numbers are recorded in one place only,
+//! the frozen benchmark (`benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod load;
-pub mod sweeps;
 
 use gcod::{Experiment, SuiteRequests};
 use gcod_accel::config::AcceleratorConfig;
@@ -426,34 +427,6 @@ pub fn fmt_speedup(x: f64) -> String {
         format!("{x:.1}")
     } else {
         format!("{x:.2}")
-    }
-}
-
-/// Resolves where a bench summary JSON should be written: the `target/`
-/// scratch copy **and** the repo-root copy that is committed so the
-/// cross-PR perf trajectory stays tracked. Setting the `env_override`
-/// environment variable replaces both with that single explicit path.
-pub(crate) fn bench_summary_paths(file_name: &str, env_override: &str) -> Vec<std::path::PathBuf> {
-    use std::path::PathBuf;
-    if let Some(path) = std::env::var_os(env_override) {
-        return vec![PathBuf::from(path)];
-    }
-    // This crate sits at <workspace>/crates/gcod-bench.
-    let workspace_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let target_dir = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| workspace_root.join("target"));
-    vec![target_dir.join(file_name), workspace_root.join(file_name)]
-}
-
-/// Writes `contents` to every path of `bench_summary_paths`, reporting
-/// each outcome on stdout/stderr.
-pub fn write_bench_summary(file_name: &str, env_override: &str, contents: &str) {
-    for path in bench_summary_paths(file_name, env_override) {
-        match std::fs::write(&path, contents) {
-            Ok(()) => println!("wrote bench summary to {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
     }
 }
 

@@ -1,40 +1,68 @@
 //! Open-loop load generator for the serving front-end: Poisson arrivals at
 //! a configured offered load, with log-bucketed latency histograms.
 //!
-//! The closed-loop sweeps in [`crate::sweeps`] measure *service time* —
-//! each iteration submits a batch and waits for it, so the server is never
-//! more loaded than one window. Tail latency under load needs the opposite
-//! discipline: an **open loop**, where arrivals are paced by an external
-//! clock (exponential inter-arrival gaps, i.e. a Poisson process) and keep
-//! coming regardless of how far the server has fallen behind. That is what
-//! exposes queueing delay, adaptive-batch behaviour and backpressure, and
-//! it is the standard methodology for tail-latency measurement (the
-//! coordinated-omission trap the closed loop falls into).
+//! A closed loop — submit a batch, wait for it, repeat — measures *service
+//! time*: the server is never more loaded than one window. Tail latency
+//! under load needs the opposite discipline: an **open loop**, where
+//! arrivals are paced by an external clock (exponential inter-arrival gaps,
+//! i.e. a Poisson process) and keep coming regardless of how far the server
+//! has fallen behind. That is what exposes queueing delay, adaptive-batch
+//! behaviour and backpressure, and it is the standard methodology for
+//! tail-latency measurement (the coordinated-omission trap the closed loop
+//! falls into).
 //!
 //! Everything is seeded: the arrival process derives from [`SplitMix64`],
 //! so two runs at the same seed offer the same arrival schedule (modulo
 //! sleep jitter). Latencies are recorded into a [`LatencyHistogram`] with
-//! ~6% value resolution, from which `p50`/`p99`/`p999` rows are extracted
-//! for `BENCH_serve.json` (gated by `bench_gate`; the `load_harness` bin is
-//! the CI smoke driver).
+//! ~6% value resolution. The `load_harness` bin drives a small sweep and
+//! checks the drain contract on it (no lost tickets, count conservation,
+//! monotone quantiles); wall-clock numbers live in the frozen benchmark
+//! (`benchmark/README.md`), not here.
 
-use crate::sweeps::{serve_classify_request, serve_server};
+use gcod_graph::{DatasetProfile, GraphGenerator};
+use gcod_nn::models::{GnnModel, ModelConfig};
 use gcod_runtime::{PopTimeout, SyncQueue};
-use gcod_serve::{SubmitOptions, Ticket};
+use gcod_serve::{ServeRequest, ServedModel, Server, ServerConfig, SubmitOptions, Ticket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Offered loads (requests/second) of the default open-loop sweep: one
-/// comfortably under capacity, one near it, one past it (where adaptive
-/// batching and queue backpressure carry the traffic).
-pub const OPEN_LOOP_LOADS: &[f64] = &[100.0, 800.0, 2500.0];
+/// Requests per run of the default [`OpenLoopConfig`].
+const OPEN_LOOP_REQUESTS: usize = 300;
 
-/// Requests per offered load in the default sweep.
-pub const OPEN_LOOP_REQUESTS: usize = 300;
+/// Nodes of the served graph: large enough that the one full-graph pass
+/// dominates setup, small enough to keep a sweep quick.
+const SERVE_NODES: usize = 2_000;
 
-/// The quantile rows committed to `BENCH_serve.json`: `(case, quantile)`.
-pub(crate) const OPEN_LOOP_QUANTILES: &[(&str, f64)] =
-    &[("open-p50", 0.50), ("open-p99", 0.99), ("open-p999", 0.999)];
+/// Nodes per classification request.
+const SERVE_WINDOW: usize = 8;
+
+/// Name of the served model.
+const SERVE_MODEL_NAME: &str = "bench-gcn";
+
+/// Builds the server under test (one deterministic served model) with the
+/// given fused-batch cap.
+fn serve_server(max_batch: usize) -> Server {
+    let profile = DatasetProfile::custom("serve-bench", SERVE_NODES, SERVE_NODES * 5, 32, 4);
+    let graph = GraphGenerator::new(1)
+        .generate(&profile)
+        .expect("generate the served graph");
+    let model = GnnModel::new(ModelConfig::gcn(&graph), 0).expect("valid config");
+    Server::with_config(ServerConfig {
+        queue_capacity: 64,
+        max_batch,
+        ..ServerConfig::default()
+    })
+    .register(ServedModel::new(SERVE_MODEL_NAME, graph, model))
+}
+
+/// The `i`-th classification request (a wrapping `SERVE_WINDOW`-node
+/// window).
+fn serve_classify_request(i: usize) -> ServeRequest {
+    let nodes: Vec<usize> = (0..SERVE_WINDOW)
+        .map(|k| (i * 17 + k * 3) % SERVE_NODES)
+        .collect();
+    ServeRequest::classify(SERVE_MODEL_NAME, nodes)
+}
 
 /// SplitMix64: a tiny, high-quality seeded PRNG (the PCG paper's favourite
 /// mixing finaliser). One `u64` of state, full 2^64 period, no vendored
@@ -230,7 +258,7 @@ impl OpenLoopReport {
     }
 }
 
-/// Runs one open-loop measurement: spawns the [`serve_server`] fixture,
+/// Runs one open-loop measurement: spawns the `serve_server` fixture,
 /// answers one untimed warm-up request, paces `config.requests` Poisson
 /// arrivals at `config.offered_rps`, and collects completion latencies on a
 /// second thread (so waiting never back-pressures the arrival clock — that
@@ -243,10 +271,9 @@ impl OpenLoopReport {
 pub(crate) fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     let handle = serve_server(config.max_batch).spawn();
     // A served model computes its full-graph logits on its first
-    // classification. Pay for that pass before the arrival clock starts
-    // (as the closed-loop cases' untimed first iteration does): inside the
-    // window it would stall the handful of arrivals behind it, and with a
-    // few hundred requests per load those few *are* the p99.
+    // classification. Pay for that pass before the arrival clock starts:
+    // inside the window it would stall the handful of arrivals behind it,
+    // and with a few hundred requests per load those few *are* the p99.
     let warm_up = handle.submit(serve_classify_request(0), SubmitOptions::default());
     warm_up.and_then(|t| t.wait()).expect("warm-up request");
     let inflight: Arc<SyncQueue<(Ticket, Instant)>> =
@@ -352,44 +379,6 @@ pub fn sweep_open_loop(loads: &[f64], requests: usize, seed: u64) -> Vec<OpenLoo
         .collect()
 }
 
-/// Flattens sweep reports into gate rows keyed exactly like the committed
-/// `BENCH_serve.json` open-loop rows: `serve/<case>/<offered_rps>` with the
-/// quantile latency (ns) as the value, for each of `OPEN_LOOP_QUANTILES`.
-pub fn open_loop_gate_rows(reports: &[OpenLoopReport]) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for report in reports {
-        for &(case, q) in OPEN_LOOP_QUANTILES {
-            rows.push((
-                format!("serve/{case}/{:.0}", report.offered_rps),
-                report.quantile_ns(q) as f64,
-            ));
-        }
-    }
-    rows
-}
-
-/// Renders sweep reports as `BENCH_serve.json`-shaped JSON objects (one
-/// string per row, no surrounding array): `case` is the quantile name,
-/// `batch` reuses the offered load as the numeric key column, `median_ns`
-/// is the quantile latency.
-pub fn open_loop_summary_rows(reports: &[OpenLoopReport], resolved_workers: usize) -> Vec<String> {
-    let mut rows = Vec::new();
-    for report in reports {
-        for &(case, q) in OPEN_LOOP_QUANTILES {
-            let ns = report.quantile_ns(q);
-            rows.push(format!(
-                "  {{\"case\": \"{case}\", \"batch\": {:.0}, \"median_ns\": {ns}, \
-                 \"per_request_us\": {:.3}, \"throughput_rps\": {:.1}, \
-                 \"resolved_workers\": {resolved_workers}}}",
-                report.offered_rps,
-                ns as f64 / 1e3,
-                report.achieved_rps,
-            ));
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,23 +466,5 @@ mod tests {
         );
         assert!(report.histogram.count() > 0);
         assert!(report.quantile_ns(0.5) > 0);
-    }
-
-    #[test]
-    fn gate_and_summary_rows_cover_every_quantile_per_load() {
-        let report = run_open_loop(&OpenLoopConfig {
-            offered_rps: 600.0,
-            requests: 16,
-            seed: 5,
-            ..OpenLoopConfig::default()
-        });
-        let rows = open_loop_gate_rows(std::slice::from_ref(&report));
-        assert_eq!(rows.len(), OPEN_LOOP_QUANTILES.len());
-        assert!(rows.iter().any(|(k, _)| k == "serve/open-p50/600"));
-        assert!(rows.iter().all(|(_, v)| *v > 0.0));
-        let json = open_loop_summary_rows(std::slice::from_ref(&report), 1);
-        assert_eq!(json.len(), OPEN_LOOP_QUANTILES.len());
-        assert!(json[0].contains("\"case\": \"open-p50\""));
-        assert!(json[0].contains("\"batch\": 600"));
     }
 }

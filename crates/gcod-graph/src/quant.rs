@@ -327,6 +327,12 @@ mod tests {
         assert!(q16.storage_bytes() < m.storage_bytes());
         assert_eq!(q8.values().storage_bytes(), m.nnz());
         assert_eq!(q16.values().storage_bytes(), m.nnz() * 2);
+        // Exact totals: u64 indptr, u32 indices, then the values (f32, or
+        // the quantized width plus one f32 scale).
+        let index_bytes = (m.rows() + 1) * 8 + m.nnz() * 4;
+        assert_eq!(m.storage_bytes(), index_bytes + m.nnz() * 4);
+        assert_eq!(q8.storage_bytes(), index_bytes + m.nnz() + 4);
+        assert_eq!(q16.storage_bytes(), index_bytes + m.nnz() * 2 + 4);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl QuantizedTensor {
             .expect("shape preserved")
     }
 
-    /// Storage footprint in bytes (payload plus the scale).
-    pub fn storage_bytes(&self) -> usize {
-        self.values.storage_bytes() + std::mem::size_of::<f32>()
-    }
-
     /// The analytic per-element round-trip error bound of symmetric
     /// quantization: `scale / 2`. [`QuantizedTensor::max_error`] against the
     /// source tensor never exceeds this (the scale choice rules clamping
@@ -140,11 +135,6 @@ impl Precision {
             Precision::Int16 => "int16",
             Precision::Int8 => "int8",
         }
-    }
-
-    /// All precisions, widest first.
-    pub fn all() -> [Precision; 3] {
-        [Precision::Fp32, Precision::Int16, Precision::Int8]
     }
 
     /// The integer storage width of a quantized precision (`None` for f32,
@@ -232,14 +222,6 @@ impl QuantizedModel {
         &self.layers
     }
 
-    /// Total parameter storage in bytes (quantized weights + f32 biases).
-    pub fn param_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.weight.storage_bytes() + l.bias.len() * std::mem::size_of::<f32>())
-            .sum()
-    }
-
     /// Runs quantized inference and returns the (f32) logits.
     ///
     /// Per layer: the current activations are quantized at this model's
@@ -310,9 +292,8 @@ mod tests {
         let q8 = QuantizedTensor::quantize(&t, QuantWidth::I8);
         let q16 = QuantizedTensor::quantize(&t, QuantWidth::I16);
         let fp32_bytes = t.len() * 4;
-        assert!(q8.storage_bytes() * 3 < fp32_bytes);
-        assert!(q16.storage_bytes() < fp32_bytes);
-        assert!(q8.storage_bytes() < q16.storage_bytes());
+        assert_eq!(q8.values().storage_bytes() * 4, fp32_bytes);
+        assert_eq!(q16.values().storage_bytes() * 2, fp32_bytes);
     }
 
     #[test]
@@ -326,7 +307,6 @@ mod tests {
         assert_eq!(Precision::Fp32.quant_width(), None);
         assert_eq!(Precision::Int16.quant_width(), Some(QuantWidth::I16));
         assert_eq!(Precision::Int8.quant_width(), Some(QuantWidth::I8));
-        assert_eq!(Precision::all().len(), 3);
         assert_eq!(Precision::default(), Precision::Fp32);
     }
 
@@ -384,7 +364,6 @@ mod tests {
         let base = GnnModel::new(ModelConfig::gcn(&g), 6).unwrap();
         let quantized = QuantizedModel::from_model(&base, QuantWidth::I8);
         assert_eq!(quantized.width(), QuantWidth::I8);
-        assert!(quantized.param_bytes() < base.num_params() * 4);
         let reference = quantized.forward(&g).unwrap();
         for kernel in KernelKind::all() {
             for workers in [0usize, 1, 2, 3] {

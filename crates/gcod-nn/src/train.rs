@@ -10,8 +10,8 @@
 //! [`GnnModel::forward`]'s lean, cache-free path) all inherit the model's
 //! kernel and worker settings, so the whole epoch — sparse aggregation and
 //! dense combination alike — is multi-core while staying bit-deterministic
-//! across worker counts. `benches/train.rs` in `gcod-bench` times exactly
-//! this loop across datasets.
+//! across worker counts. The frozen benchmark's `nn.train_epoch_ms` probe
+//! times one epoch of this loop.
 
 use crate::loss::masked_cross_entropy;
 use crate::metrics::masked_accuracy;

@@ -1438,8 +1438,16 @@ mod tests {
         // Steady-state kill: the next Gather detects the dead worker, the
         // supervisor respawns and replays it from the export cache.
         sharded.kill_worker(1).expect("kill");
+        let started = std::time::Instant::now();
         let got = sharded.forward_rows(&nodes).expect("recovered forward");
+        let recovery = started.elapsed();
         assert_eq!(got.data(), expected.data(), "post-respawn answer diverged");
+        // The dead endpoint is seen at disconnect, not by waiting out the
+        // RPC deadline.
+        assert!(
+            recovery < Duration::from_millis(fast_policy().rpc_timeout_ms),
+            "recovery took {recovery:?}, not faster than the RPC deadline"
+        );
         let stats = sharded.stats();
         assert_eq!(stats.respawns, 1);
         assert_eq!(stats.health, ShardHealth::Healthy);

@@ -438,6 +438,25 @@ mod tests {
     }
 
     #[test]
+    fn halo_sizes_are_pinned_per_profile_and_shard_count() {
+        // Exact replication overhead of two degree structures at k = 1, 2, 4.
+        // At the 16-wide hidden layer each halo node relays one 64-byte row
+        // per forward pass (cora: 0 / 6400 / 9984 bytes).
+        for (dataset, expected) in [("cora", [0, 100, 156]), ("reddit-lite", [0, 276, 675])] {
+            let profile = DatasetProfile::by_name(dataset)
+                .expect("known profile")
+                .scaled_to_nodes(300);
+            let graph = GraphGenerator::new(1).generate(&profile).expect("graph");
+            let model = GnnModel::new(ModelConfig::gcn(&graph), 1).expect("model");
+            for (k, want) in [1, 2, 4].into_iter().zip(expected) {
+                let plan =
+                    ShardPlan::build(&graph, &model, &ShardPlanConfig::new(k)).expect("plan");
+                assert_eq!(plan.total_halo_nodes(), want, "{dataset} k={k}");
+            }
+        }
+    }
+
+    #[test]
     fn locate_agrees_with_ownership() {
         let graph = small_graph();
         let model = trained_model(&graph);
