@@ -17,10 +17,9 @@
 //!   bandwidth / traffic / energy reports that the figure generators print.
 //!
 //! Every binary in `src/bin/` but `load_harness` is one table or figure;
-//! [`load`] is the open-loop serving smoke `load_harness` drives, and
-//! `cargo bench` (criterion) times the partitioner, the graph tuning and
-//! one Fig. 9 column. Wall-clock numbers are recorded in one place only,
-//! the frozen benchmark (`benchmark/README.md`).
+//! [`load`] is the open-loop serving smoke `load_harness` drives.
+//! Wall-clock numbers are recorded in one place only, the frozen benchmark
+//! (`benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -138,12 +138,6 @@ impl std::error::Error for ServeError {
     }
 }
 
-impl From<RejectReason> for ServeError {
-    fn from(reason: RejectReason) -> Self {
-        ServeError::Rejected(reason)
-    }
-}
-
 impl From<NnError> for ServeError {
     fn from(e: NnError) -> Self {
         ServeError::Nn(e)
@@ -183,7 +177,7 @@ mod tests {
 
     #[test]
     fn reject_reasons_are_matchable_and_convert() {
-        let err: ServeError = RejectReason::Overloaded.into();
+        let err = ServeError::Rejected(RejectReason::Overloaded);
         assert_eq!(err.reject_reason(), Some(RejectReason::Overloaded));
         assert!(ServeError::Canceled.reject_reason().is_none());
         for reason in [

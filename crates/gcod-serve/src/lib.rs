@@ -78,7 +78,6 @@ mod request;
 mod server;
 mod shard;
 mod ticket;
-mod wire_impls;
 
 pub use error::{RejectReason, Result, ServeError};
 pub use model::ServedModel;

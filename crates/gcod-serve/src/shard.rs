@@ -69,7 +69,7 @@ use std::time::Duration;
 pub enum SpawnMode {
     /// In-process worker threads (each still speaks the full wire protocol
     /// over a real socket). Cheap, hermetic — the default, and what the
-    /// serving benches use.
+    /// frozen benchmark's sharded workload uses.
     Thread,
     /// One OS process per shard: the binary at this path is spawned with
     /// `--addr <addr> --shard <id>` and must delegate to

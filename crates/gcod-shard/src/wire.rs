@@ -11,24 +11,20 @@
 //!
 //! Layout conventions:
 //!
-//! | type        | encoding                                            |
-//! |-------------|-----------------------------------------------------|
-//! | `bool`      | one byte, `0` or `1`                                |
-//! | `u8`..`u64` | little-endian, fixed width                          |
-//! | `usize`     | as `u64` (decode fails if it overflows the target)  |
-//! | `f32`/`f64` | IEEE-754 bits, little-endian                        |
-//! | `String`    | `u32` byte length + UTF-8 bytes                     |
-//! | `Vec<T>`    | `u32` element count + elements                      |
-//! | enums       | `u8` variant tag + fields in declaration order      |
+//! | type               | encoding                                       |
+//! |--------------------|------------------------------------------------|
+//! | `bool`             | one byte, `0` or `1`                           |
+//! | `u8`, `u32`, `u64` | little-endian, fixed width                     |
+//! | `f32`              | IEEE-754 bits, little-endian                   |
+//! | `String`           | `u32` byte length + UTF-8 bytes                |
+//! | `Vec<T>`           | `u32` element count + elements                 |
+//! | enums              | `u8` variant tag + fields in declaration order |
 
 use std::fmt;
 
 use gcod_graph::CsrMatrix;
 use gcod_nn::layers::{Activation, DenseLayer};
 use gcod_nn::Tensor;
-use gcod_platform::energy::EnergyBreakdown;
-use gcod_platform::memory::TrafficCounter;
-use gcod_platform::report::PerfReport;
 
 /// Errors produced while decoding (or framing) wire data.
 ///
@@ -227,19 +223,7 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u8, u16, u32, u64, i64);
-
-impl Wire for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let raw = u64::decode(r)?;
-        usize::try_from(raw).map_err(|_| WireError::Malformed {
-            context: format!("u64 value {raw} does not fit usize on this platform"),
-        })
-    }
-}
+wire_int!(u8, u32, u64);
 
 impl Wire for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -263,15 +247,6 @@ impl Wire for f32 {
     }
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(f32::from_bits(u32::decode(r)?))
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(f64::from_bits(u64::decode(r)?))
     }
 }
 
@@ -327,16 +302,6 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
 impl Wire for Tensor {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.rows() as u32).encode(out);
@@ -354,7 +319,7 @@ impl Wire for Tensor {
         // Cheap pre-check before allocating: every f32 needs 4 bytes.
         if total > r.remaining() / 4 {
             return Err(WireError::Truncated {
-                needed: total * 4,
+                needed: total.saturating_mul(4),
                 available: r.remaining(),
             });
         }
@@ -431,79 +396,6 @@ impl Wire for DenseLayer {
     }
 }
 
-impl Wire for EnergyBreakdown {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.compute_combination.encode(out);
-        self.on_chip_combination.encode(out);
-        self.off_chip_combination.encode(out);
-        self.compute_aggregation.encode(out);
-        self.on_chip_aggregation.encode(out);
-        self.off_chip_aggregation.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(EnergyBreakdown {
-            compute_combination: f64::decode(r)?,
-            on_chip_combination: f64::decode(r)?,
-            off_chip_combination: f64::decode(r)?,
-            compute_aggregation: f64::decode(r)?,
-            on_chip_aggregation: f64::decode(r)?,
-            off_chip_aggregation: f64::decode(r)?,
-        })
-    }
-}
-
-impl Wire for TrafficCounter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.off_chip_read_combination.encode(out);
-        self.off_chip_write_combination.encode(out);
-        self.off_chip_read_aggregation.encode(out);
-        self.off_chip_write_aggregation.encode(out);
-        self.on_chip_combination.encode(out);
-        self.on_chip_aggregation.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(TrafficCounter {
-            off_chip_read_combination: u64::decode(r)?,
-            off_chip_write_combination: u64::decode(r)?,
-            off_chip_read_aggregation: u64::decode(r)?,
-            off_chip_write_aggregation: u64::decode(r)?,
-            on_chip_combination: u64::decode(r)?,
-            on_chip_aggregation: u64::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PerfReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.platform.encode(out);
-        self.dataset.encode(out);
-        self.model.encode(out);
-        self.latency_ms.encode(out);
-        self.cycles.encode(out);
-        self.off_chip_bytes.encode(out);
-        self.off_chip_accesses.encode(out);
-        self.peak_bandwidth_gbps.encode(out);
-        self.utilization.encode(out);
-        self.energy.encode(out);
-        self.traffic.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(PerfReport {
-            platform: String::decode(r)?,
-            dataset: String::decode(r)?,
-            model: String::decode(r)?,
-            latency_ms: f64::decode(r)?,
-            cycles: u64::decode(r)?,
-            off_chip_bytes: u64::decode(r)?,
-            off_chip_accesses: u64::decode(r)?,
-            peak_bandwidth_gbps: f64::decode(r)?,
-            utilization: f64::decode(r)?,
-            energy: EnergyBreakdown::decode(r)?,
-            traffic: TrafficCounter::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,16 +412,13 @@ mod tests {
         roundtrip(255u8);
         roundtrip(0xdead_beefu32);
         roundtrip(u64::MAX);
-        roundtrip(-42i64);
         roundtrip(true);
         roundtrip(false);
         roundtrip(1.5f32);
-        roundtrip(-0.0f64);
         roundtrip(String::from("halo"));
         roundtrip(String::new());
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(Vec::<u64>::new());
-        roundtrip((7u32, String::from("x")));
     }
 
     #[test]
@@ -581,6 +470,16 @@ mod tests {
     }
 
     #[test]
+    fn huge_tensor_header_rejected_without_overflow() {
+        // rows * cols fits a usize, but the byte count it implies does not.
+        let mut bytes = Vec::new();
+        u32::MAX.encode(&mut bytes);
+        u32::MAX.encode(&mut bytes);
+        let err = Tensor::from_wire(&bytes).expect_err("must reject");
+        assert!(matches!(err, WireError::Truncated { .. }), "got {err:?}");
+    }
+
+    #[test]
     fn bad_utf8_rejected() {
         let mut bytes = Vec::new();
         2u32.encode(&mut bytes);
@@ -603,37 +502,5 @@ mod tests {
         bytes.swap(idx_base, idx_base + 4);
         let err = CsrMatrix::from_wire(&bytes).expect_err("must reject");
         assert!(matches!(err, WireError::Malformed { .. }));
-    }
-
-    #[test]
-    fn perf_report_roundtrips() {
-        let report = PerfReport {
-            platform: "hygcn".into(),
-            dataset: "cora".into(),
-            model: "gcn".into(),
-            latency_ms: 1.25,
-            cycles: 123_456,
-            off_chip_bytes: 789,
-            off_chip_accesses: 10,
-            peak_bandwidth_gbps: 256.0,
-            utilization: 0.5,
-            energy: EnergyBreakdown {
-                compute_combination: 1.0,
-                on_chip_combination: 2.0,
-                off_chip_combination: 3.0,
-                compute_aggregation: 4.0,
-                on_chip_aggregation: 5.0,
-                off_chip_aggregation: 6.0,
-            },
-            traffic: TrafficCounter {
-                off_chip_read_combination: 1,
-                off_chip_write_combination: 2,
-                off_chip_read_aggregation: 3,
-                off_chip_write_aggregation: 4,
-                on_chip_combination: 5,
-                on_chip_aggregation: 6,
-            },
-        };
-        roundtrip(report);
     }
 }

@@ -284,6 +284,7 @@ pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
     use gcod_graph::CsrMatrix;
     use gcod_nn::layers::{Activation, DenseLayer};
 
@@ -435,5 +436,55 @@ mod tests {
             ShardReply::Err { .. }
         ));
         assert!(!w.is_loaded());
+    }
+
+    /// Every single-byte mutant of a `Load` payload that still decodes is
+    /// driven through the whole protocol: load, each layer with a halo
+    /// exchange, then a gather. Each request gets a reply, never a panic.
+    #[test]
+    fn mutated_load_payloads_never_panic_the_worker() {
+        let original = ShardRequest::Load(Box::new(spec())).to_wire();
+        let (mut decoded, mut loaded) = (0, 0);
+        for at in 0..original.len() {
+            for value in [0x00, 0x01, 0x80, 0xff, original[at] ^ 0x01] {
+                let mut bytes = original.clone();
+                bytes[at] = value;
+                let Ok(ShardRequest::Load(mutant)) = ShardRequest::from_wire(&bytes) else {
+                    continue;
+                };
+                decoded += 1;
+                let (layers, owned, halo) = (
+                    mutant.layers.len(),
+                    mutant.owned_count(),
+                    mutant.halo_count(),
+                );
+                let mut w = ShardWorker::new();
+                if !matches!(
+                    w.handle(ShardRequest::Load(mutant)),
+                    ShardReply::Loaded { .. }
+                ) {
+                    continue;
+                }
+                loaded += 1;
+                for layer in 0..layers {
+                    let reply = w.handle(ShardRequest::RunLayer {
+                        layer: layer as u32,
+                    });
+                    // After a failed layer the width is unknown; whatever
+                    // halo arrives must still be answered.
+                    let width = match reply {
+                        ShardReply::LayerDone { exports } => exports.cols(),
+                        _ => 1,
+                    };
+                    w.handle(ShardRequest::Advance {
+                        halo: Tensor::zeros(halo, width),
+                    });
+                }
+                w.handle(ShardRequest::Gather {
+                    rows: (0..owned as u32).collect(),
+                });
+            }
+        }
+        assert!(loaded > 0, "none of {decoded} decoded mutants loaded");
     }
 }

@@ -183,6 +183,31 @@ proptest! {
         }
     }
 
+    /// Overwriting one byte of a real payload (past the frame, so the CRC
+    /// cannot reject it first) either decodes or yields a typed error,
+    /// never a panic. A mutant that decodes re-encodes to exactly its own
+    /// bytes: every value has one encoding.
+    #[test]
+    fn corrupted_payloads_decode_or_reject(
+        req in arb_request(),
+        reply in arb_reply(),
+        pick in 0usize..1_000_000,
+        byte in 0u64..256,
+    ) {
+        let mut bytes = req.to_wire();
+        let at = pick % bytes.len();
+        bytes[at] = byte as u8;
+        if let Ok(back) = ShardRequest::from_wire(&bytes) {
+            prop_assert_eq!(back.to_wire(), bytes);
+        }
+        let mut bytes = reply.to_wire();
+        let at = pick % bytes.len();
+        bytes[at] = byte as u8;
+        if let Ok(back) = ShardReply::from_wire(&bytes) {
+            prop_assert_eq!(back.to_wire(), bytes);
+        }
+    }
+
     /// Feeding arbitrary garbage to the raw decoder returns without
     /// panicking: either a (valid) message or a typed error.
     #[test]
