@@ -93,11 +93,6 @@ impl AcceleratorConfig {
         1_000.0 / self.clock_mhz
     }
 
-    /// Peak MACs per second.
-    pub fn peak_macs_per_second(&self) -> f64 {
-        self.num_pes as f64 * self.clock_mhz * 1.0e6
-    }
-
     /// Off-chip bandwidth in bytes per second.
     pub(crate) fn off_chip_bytes_per_second(&self) -> f64 {
         self.off_chip_gbps * 1.0e9
@@ -142,8 +137,6 @@ mod tests {
     fn derived_rates_are_consistent() {
         let cfg = AcceleratorConfig::vcu128();
         assert!((cfg.cycle_ns() - 3.0303).abs() < 0.01);
-        let peak = cfg.peak_macs_per_second();
-        assert!((peak - 4096.0 * 330.0e6).abs() < 1.0);
         assert_eq!(cfg.denser_pes() + cfg.sparser_pes(), cfg.num_pes);
         assert!(cfg.denser_pes() > cfg.sparser_pes());
     }

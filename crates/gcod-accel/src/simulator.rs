@@ -37,11 +37,6 @@ impl GcodAccelerator {
         }
     }
 
-    /// The hardware configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
     /// Simulates one full inference of `workload` whose adjacency has been
     /// split into `split` by the GCoD algorithm (the body of
     /// [`Platform::simulate`], once the request's split is known present).

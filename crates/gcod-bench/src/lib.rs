@@ -16,15 +16,12 @@
 //!   producing latency /
 //!   bandwidth / traffic / energy reports that the figure generators print.
 //!
-//! Every binary in `src/bin/` but `load_harness` is one table or figure;
-//! [`load`] is the open-loop serving smoke `load_harness` drives.
-//! Wall-clock numbers are recorded in one place only, the frozen benchmark
-//! (`benchmark/README.md`).
+//! Every binary in `src/bin/` is one table or figure. Wall-clock numbers,
+//! open-loop serving included, are recorded in one place only, the frozen
+//! benchmark (`benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod load;
 
 use gcod::{Experiment, SuiteRequests};
 use gcod_accel::config::AcceleratorConfig;

@@ -169,11 +169,6 @@ impl SubgraphLayout {
         self.num_classes
     }
 
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
     /// Applies the layout's permutation to a graph.
     pub fn apply(&self, graph: &Graph) -> Graph {
         graph.permute(&self.permutation)
@@ -227,7 +222,6 @@ mod tests {
             assert!(s.group < cfg.num_groups);
         }
         assert_eq!(layout.num_classes(), cfg.num_classes);
-        assert_eq!(layout.num_groups(), cfg.num_groups);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl GcodPipeline {
         Self { config }
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &GcodConfig {
-        &self.config
-    }
-
     /// Runs the full pipeline for `model_kind` on `graph`.
     ///
     /// # Errors

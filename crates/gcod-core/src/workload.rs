@@ -33,7 +33,8 @@ pub struct DenseBlock {
 
 impl DenseBlock {
     /// Density of the block.
-    pub fn density(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn density(&self) -> f64 {
         if self.len == 0 {
             0.0
         } else {

@@ -153,27 +153,20 @@ impl CooMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    fn cols(&self) -> usize {
         self.cols
     }
 
     /// Number of stored entries (before deduplication this counts duplicates).
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Density of the matrix: `nnz / (rows * cols)`.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
     }
 
     /// Row index slice.
@@ -258,36 +251,6 @@ impl CooMatrix {
     /// Converts to CSC (sorting and summing duplicates).
     pub fn to_csc(&self) -> CscMatrix {
         self.transpose().to_csr().into_csc_of_transpose()
-    }
-
-    /// Keeps only the entries for which `predicate(row, col, value)` is true.
-    pub fn retain<F>(&mut self, mut predicate: F)
-    where
-        F: FnMut(usize, usize, f32) -> bool,
-    {
-        let mut keep_rows = Vec::with_capacity(self.values.len());
-        let mut keep_cols = Vec::with_capacity(self.values.len());
-        let mut keep_vals = Vec::with_capacity(self.values.len());
-        for i in 0..self.values.len() {
-            let (r, c, v) = (
-                self.row_indices[i] as usize,
-                self.col_indices[i] as usize,
-                self.values[i],
-            );
-            if predicate(r, c, v) {
-                keep_rows.push(r as u32);
-                keep_cols.push(c as u32);
-                keep_vals.push(v);
-            }
-        }
-        self.row_indices = keep_rows;
-        self.col_indices = keep_cols;
-        self.values = keep_vals;
-    }
-
-    /// Storage footprint in bytes of the triplet representation.
-    pub fn storage_bytes(&self) -> usize {
-        self.nnz() * (2 * std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
     }
 }
 
@@ -391,20 +354,6 @@ mod tests {
             assert_eq!(*r, *tc);
             assert_eq!(*c, *tr);
         }
-    }
-
-    #[test]
-    fn density_of_empty_is_zero() {
-        let coo = CooMatrix::new(0, 0);
-        assert_eq!(coo.density(), 0.0);
-    }
-
-    #[test]
-    fn retain_filters_entries() {
-        let mut coo = sample();
-        coo.retain(|r, _, _| r < 2);
-        assert_eq!(coo.nnz(), 3);
-        assert!(coo.iter().all(|(r, _, _)| r < 2));
     }
 
     #[test]

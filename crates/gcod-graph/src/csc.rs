@@ -5,7 +5,7 @@
 //! one column of the adjacency matrix per step, which is exactly what CSC
 //! makes cheap.
 
-use crate::{CooMatrix, CsrMatrix, GraphError, Result};
+use crate::{CooMatrix, CsrMatrix};
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse column format.
@@ -21,58 +21,6 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Builds a CSC matrix, validating the compressed-column invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::DimensionMismatch`] or
-    /// [`GraphError::IndexOutOfBounds`] when an invariant is violated.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<u64>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self> {
-        if indptr.len() != cols + 1 {
-            return Err(GraphError::DimensionMismatch {
-                context: format!("indptr length {} != cols + 1 = {}", indptr.len(), cols + 1),
-            });
-        }
-        if indptr.first().copied().unwrap_or(0) != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(GraphError::DimensionMismatch {
-                context: "indptr must start at 0 and be non-decreasing".to_string(),
-            });
-        }
-        let nnz = *indptr.last().unwrap_or(&0) as usize;
-        if indices.len() != nnz || values.len() != nnz {
-            return Err(GraphError::DimensionMismatch {
-                context: format!(
-                    "nnz {} disagrees with indices {} / values {}",
-                    nnz,
-                    indices.len(),
-                    values.len()
-                ),
-            });
-        }
-        for &r in &indices {
-            if r as usize >= rows {
-                return Err(GraphError::IndexOutOfBounds {
-                    index: r as usize,
-                    bound: rows,
-                    axis: "row",
-                });
-            }
-        }
-        Ok(Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
     pub(crate) fn from_parts_unchecked(
         rows: usize,
         cols: usize,
@@ -116,21 +64,6 @@ impl CscMatrix {
         self.values.len()
     }
 
-    /// Column pointer array (`cols + 1` entries).
-    pub fn indptr(&self) -> &[u64] {
-        &self.indptr
-    }
-
-    /// Row indices, column-by-column.
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// Non-zero values, column-by-column.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
     /// Row indices and values of column `col`.
     ///
     /// # Panics
@@ -143,7 +76,8 @@ impl CscMatrix {
     }
 
     /// Value at `(row, col)`, `0.0` when not stored.
-    pub fn get(&self, row: usize, col: usize) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, row: usize, col: usize) -> f32 {
         if row >= self.rows || col >= self.cols {
             return 0.0;
         }
@@ -174,13 +108,6 @@ impl CscMatrix {
     /// Converts to CSR.
     pub fn to_csr(&self) -> CsrMatrix {
         self.to_coo().to_csr()
-    }
-
-    /// Storage footprint in bytes (indptr + indices + values).
-    pub fn storage_bytes(&self) -> usize {
-        self.indptr.len() * std::mem::size_of::<u64>()
-            + self.indices.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -221,13 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates() {
-        assert!(CscMatrix::from_parts(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err());
-        assert!(CscMatrix::from_parts(2, 2, vec![0, 1, 1], vec![9], vec![1.0]).is_err());
-        assert!(CscMatrix::from_parts(2, 2, vec![0, 1, 1], vec![1], vec![1.0]).is_ok());
-    }
-
-    #[test]
     fn roundtrip_csr() {
         let m = star();
         let csr = m.to_csr();
@@ -243,19 +163,5 @@ mod tests {
         assert_eq!(z.rows(), 4);
         assert_eq!(z.cols(), 2);
         assert_eq!(z.nnz(), 0);
-    }
-
-    #[test]
-    fn csc_storage_smaller_than_coo_for_column_heavy() {
-        // CSC shares one pointer per column; COO stores a row and column per
-        // entry. For a matrix with many entries per column CSC must win.
-        let mut coo = CooMatrix::new(64, 4);
-        for c in 0..4usize {
-            for r in 0..64usize {
-                coo.push(r, c, 1.0).unwrap();
-            }
-        }
-        let csc = coo.to_csc();
-        assert!(csc.storage_bytes() < coo.storage_bytes());
     }
 }

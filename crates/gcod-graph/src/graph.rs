@@ -39,7 +39,8 @@ impl NodeMask {
     }
 
     /// Whether node `i` is selected.
-    pub fn contains(&self, i: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.bits.get(i).copied().unwrap_or(false)
     }
 
@@ -242,11 +243,6 @@ impl Graph {
         self.adjacency.row_degrees()
     }
 
-    /// Sparsity of the adjacency matrix (fraction of zero entries).
-    pub fn sparsity(&self) -> f64 {
-        1.0 - self.adjacency.density()
-    }
-
     /// Applies a node permutation to the whole graph: adjacency, features,
     /// labels and masks move together.
     pub fn permute(&self, perm: &Permutation) -> Graph {
@@ -268,11 +264,6 @@ impl Graph {
             test_mask: self.test_mask.permute(perm),
             name: self.name.clone(),
         }
-    }
-
-    /// Approximate in-memory footprint in bytes (adjacency + features).
-    pub fn storage_bytes(&self) -> usize {
-        self.adjacency.storage_bytes() + self.features.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -379,11 +370,5 @@ mod tests {
         assert!(g.with_adjacency(smaller).is_err());
         let same = g.adjacency().clone();
         assert!(g.with_adjacency(same).is_ok());
-    }
-
-    #[test]
-    fn sparsity_of_a_path() {
-        let g = tiny_graph();
-        assert!(g.sparsity() > 0.5);
     }
 }

@@ -71,11 +71,6 @@ impl Partitioning {
         &self.assignment
     }
 
-    /// Number of parts.
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
     /// Number of (undirected) edges whose endpoints fall in different parts.
     #[cfg(test)]
     fn edge_cut(&self) -> usize {
@@ -92,7 +87,8 @@ impl Partitioning {
     }
 
     /// Node count per part.
-    pub fn sizes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.parts];
         for &p in &self.assignment {
             sizes[p as usize] += 1;
@@ -444,7 +440,6 @@ mod tests {
         let result = Partitioner::new(PartitionConfig::k_way(2))
             .partition(&adj)
             .unwrap();
-        assert_eq!(result.parts(), 2);
         assert_eq!(result.edge_cut(), 1, "should cut only the bridge");
         let sizes = result.sizes();
         assert_eq!(sizes[0], 8);

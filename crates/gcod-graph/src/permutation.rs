@@ -19,7 +19,8 @@ pub struct Permutation {
 
 impl Permutation {
     /// Identity permutation over `n` elements.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    fn identity(n: usize) -> Self {
         Self {
             forward: (0..n as u32).collect(),
         }

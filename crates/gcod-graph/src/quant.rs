@@ -16,7 +16,7 @@
 //! any single element is therefore at most `scale / 2` (plus clamping,
 //! which the scale choice rules out).
 
-use crate::{CsrMatrix, Result};
+use crate::CsrMatrix;
 
 /// Integer width of a quantized payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,7 +215,8 @@ impl QuantizedCsr {
     /// Never in practice — the index structure is copied from a valid CSR —
     /// but the validating constructor's error type is propagated rather than
     /// unwrapped.
-    pub fn dequantize(&self) -> Result<CsrMatrix> {
+    #[cfg(test)]
+    fn dequantize(&self) -> crate::Result<CsrMatrix> {
         CsrMatrix::from_parts(
             self.rows,
             self.cols,

@@ -49,11 +49,6 @@ impl PatchGrid {
         }
     }
 
-    /// Patch side length.
-    pub fn patch_size(&self) -> usize {
-        self.patch_size
-    }
-
     /// Number of patch rows.
     pub fn grid_rows(&self) -> usize {
         self.grid_rows

@@ -53,7 +53,8 @@ impl ModelKind {
     }
 
     /// All five kinds, in the order the paper's figures enumerate them.
-    pub fn all() -> [ModelKind; 5] {
+    #[cfg(test)]
+    fn all() -> [ModelKind; 5] {
         [
             ModelKind::Gcn,
             ModelKind::Gin,
@@ -347,11 +348,6 @@ impl GnnModel {
     /// Selects the inference precision in place.
     pub fn set_precision(&mut self, precision: Precision) {
         self.precision = precision;
-    }
-
-    /// The architecture kind.
-    pub fn kind(&self) -> ModelKind {
-        self.config.kind
     }
 
     /// The dense layers (weights and biases).

@@ -207,11 +207,6 @@ impl QuantizedModel {
         }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
     /// The integer width this model computes at.
     pub fn width(&self) -> QuantWidth {
         self.width

@@ -80,13 +80,9 @@ impl Tensor {
     }
 
     /// Total number of elements.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the tensor holds zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Underlying data slice (row-major).
@@ -349,7 +345,8 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
+    #[cfg(test)]
+    pub(crate) fn sub(&self, other: &Tensor) -> Result<Tensor> {
         self.zip_with(other, |a, b| a - b, "sub")
     }
 
@@ -407,15 +404,6 @@ impl Tensor {
             }
         }
         Ok(())
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| v * s).collect(),
-        }
     }
 
     /// Applies a function elementwise.
@@ -505,12 +493,14 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
     /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f32 {
         if self.data.is_empty() {
             0.0
         } else {
@@ -519,7 +509,8 @@ impl Tensor {
     }
 
     /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
     }
 }
@@ -652,7 +643,6 @@ mod tests {
         let b = Tensor::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Trainer {
         Self { config }
     }
 
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
     /// Trains `model` on `graph` and returns the summary report.
     ///
     /// # Errors

@@ -161,11 +161,6 @@ impl InferenceWorkload {
         self.layers.iter().map(|l| l.combination_macs).sum()
     }
 
-    /// Total bytes of weights.
-    pub fn weight_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.weight_bytes).sum()
-    }
-
     /// Total floating point operations (2 per MAC), matching the FLOPs
     /// numbers the paper's introduction quotes.
     pub fn total_flops(&self) -> u64 {
@@ -246,8 +241,8 @@ mod tests {
         let cfg = ModelConfig::gcn(&g);
         let fp32 = InferenceWorkload::build(&g, &cfg, Precision::Fp32);
         let int8 = InferenceWorkload::build(&g, &cfg, Precision::Int8);
-        assert!(int8.weight_bytes() * 2 <= fp32.weight_bytes());
         for (q, f) in int8.layers.iter().zip(&fp32.layers) {
+            assert!(q.weight_bytes * 2 <= f.weight_bytes);
             assert!(q.intermediate_bytes * 2 <= f.intermediate_bytes);
         }
         // MAC counts do not change with precision.

@@ -84,16 +84,6 @@ impl TrafficCounter {
     pub fn off_chip_accesses(&self, access_bytes: u64) -> u64 {
         self.total_off_chip().div_ceil(access_bytes.max(1))
     }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &TrafficCounter) {
-        self.off_chip_read_combination += other.off_chip_read_combination;
-        self.off_chip_write_combination += other.off_chip_write_combination;
-        self.off_chip_read_aggregation += other.off_chip_read_aggregation;
-        self.off_chip_write_aggregation += other.off_chip_write_aggregation;
-        self.on_chip_combination += other.on_chip_combination;
-        self.on_chip_aggregation += other.on_chip_aggregation;
-    }
 }
 
 #[cfg(test)]
@@ -119,17 +109,5 @@ mod tests {
         t.read_off_chip(Phase::Aggregation, 130);
         assert_eq!(t.off_chip_accesses(64), 3);
         assert_eq!(t.off_chip_accesses(0), 130);
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let mut a = TrafficCounter::new();
-        a.read_off_chip(Phase::Combination, 10);
-        let mut b = TrafficCounter::new();
-        b.write_off_chip(Phase::Aggregation, 20);
-        b.move_on_chip(Phase::Combination, 5);
-        a.merge(&b);
-        assert_eq!(a.total_off_chip(), 30);
-        assert_eq!(a.on_chip_combination, 5);
     }
 }

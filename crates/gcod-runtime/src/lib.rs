@@ -52,7 +52,7 @@ mod queue;
 pub mod reactor;
 pub mod sync;
 
-pub use queue::{PopTimeout, PushError, SyncQueue};
+pub use queue::{PushError, SyncQueue};
 pub use reactor::{Event, Reactor, Wake, Waker};
 
 use crate::sync::{thread::JoinHandle, Condvar, Mutex};
@@ -137,59 +137,26 @@ impl Latch {
         }
     }
 
-    /// Blocks until the count reaches zero or `timeout` elapses; `true` when
-    /// the latch completed.
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut remaining = self.remaining.lock_unpoisoned();
-        while *remaining > 0 {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, timed_out) = self.all_done.wait_timeout(remaining, deadline - now);
-            remaining = guard;
-            // A timed-out wait means the deadline passed (the wait covered
-            // the full remaining budget), so give up without re-reading the
-            // clock — this is also what lets the model checker treat the
-            // timeout as a schedulable event rather than a real clock.
-            if timed_out && *remaining > 0 {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Whether the completion count has reached zero.
     pub fn is_done(&self) -> bool {
         *self.remaining.lock_unpoisoned() == 0
     }
 }
 
-/// Outcome of [`RecoveryGate::await_healthy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateWait {
-    /// No recovery is in flight — proceed.
-    Healthy,
-    /// The gate was closed (shutdown); no more recoveries will complete.
-    Closed,
-    /// The timeout elapsed while a recovery was still in flight.
-    TimedOut,
-}
-
-/// Serialises failure recovery: at most one recovery in flight, waiters
-/// block until it completes, shutdown drains cleanly.
+/// Serialises failure recovery: at most one recovery in flight, and
+/// shutdown fences new cycles without stranding the one in flight.
 ///
 /// The `gcod-serve` shard supervisor uses one gate per sharded model to
 /// guarantee **no double respawn** (only the thread holding the token may
-/// replace a worker) and **no lost wakeup** (every `finish`/`close`
-/// notifies all waiters; waits re-check the predicate in a loop). Built on
-/// the [`sync`] facade, so the same code is exhaustively model-checked
-/// under bounded preemption (`gcod-serve/tests/model_supervisor.rs`).
+/// replace a worker). Nothing blocks on the gate: a caller that finds a
+/// recovery in flight or the gate closed gets `None` from
+/// [`begin_recovery`](RecoveryGate::begin_recovery) and decides for
+/// itself. Built on the [`sync`] facade, so the same code is exhaustively
+/// model-checked under bounded preemption
+/// (`gcod-serve/tests/model_supervisor.rs`).
 #[derive(Debug, Default)]
 pub struct RecoveryGate {
     state: Mutex<GateState>,
-    changed: Condvar,
 }
 
 #[derive(Debug, Default)]
@@ -208,7 +175,7 @@ struct GateState {
 /// The token is deliberately not `Clone` and carries the generation it was
 /// issued for: exactly one liveness-restoring actor exists per cycle.
 #[derive(Debug)]
-#[must_use = "a recovery token must be finished, or waiters block until the gate closes"]
+#[must_use = "a recovery token must be finished, or no further recovery can begin"]
 pub struct RecoveryToken {
     generation: u64,
 }
@@ -222,9 +189,8 @@ impl RecoveryGate {
     /// Claims the exclusive right to run a recovery.
     ///
     /// Returns `None` when a recovery is already in flight (someone else
-    /// owns the token — wait for it with
-    /// [`await_healthy`](RecoveryGate::await_healthy)) or when the gate is
-    /// closed (use [`is_closed`](RecoveryGate::is_closed) to distinguish).
+    /// owns the token) or when the gate is closed (use
+    /// [`is_closed`](RecoveryGate::is_closed) to distinguish).
     /// This is what makes a double respawn impossible by construction.
     pub fn begin_recovery(&self) -> Option<RecoveryToken> {
         let mut state = self.state.lock_unpoisoned();
@@ -237,9 +203,9 @@ impl RecoveryGate {
         })
     }
 
-    /// Completes the recovery the token was issued for and wakes every
-    /// waiter (regardless of whether the recovery actually succeeded —
-    /// the caller communicates success out of band, e.g. by degrading).
+    /// Completes the recovery the token was issued for, whether or not it
+    /// succeeded — the caller communicates success out of band, e.g. by
+    /// degrading.
     pub fn finish(&self, token: RecoveryToken) {
         let mut state = self.state.lock_unpoisoned();
         debug_assert!(
@@ -248,40 +214,16 @@ impl RecoveryGate {
         );
         state.recovering = false;
         state.generation = state.generation.wrapping_add(1);
-        self.changed.notify_all();
-    }
-
-    /// Blocks while a recovery is in flight, up to `timeout`.
-    pub fn await_healthy(&self, timeout: std::time::Duration) -> GateWait {
-        let mut state = self.state.lock_unpoisoned();
-        while state.recovering && !state.closed {
-            let (guard, timed_out) = self.changed.wait_timeout(state, timeout);
-            state = guard;
-            // A timed-out wait consumed the whole budget (see
-            // Latch::wait_timeout for why this avoids re-reading the
-            // clock and keeps the model checker's timeouts schedulable).
-            if timed_out && state.recovering && !state.closed {
-                return GateWait::TimedOut;
-            }
-        }
-        if state.closed {
-            GateWait::Closed
-        } else {
-            GateWait::Healthy
-        }
     }
 
     /// Closes the gate: future
     /// [`begin_recovery`](RecoveryGate::begin_recovery) calls return
-    /// `None` and every current and future waiter resolves with
-    /// [`GateWait::Closed`]. An in-flight recovery may still
+    /// `None`. An in-flight recovery may still
     /// [`finish`](RecoveryGate::finish); closing only stops *new* cycles,
     /// so shutdown-during-recovery drains instead of deadlocking.
     /// Idempotent.
     pub fn close(&self) {
-        let mut state = self.state.lock_unpoisoned();
-        state.closed = true;
-        self.changed.notify_all();
+        self.state.lock_unpoisoned().closed = true;
     }
 
     /// Whether a recovery is currently in flight.
@@ -897,14 +839,12 @@ mod tests {
     }
 
     #[test]
-    fn latch_counts_down_and_times_out() {
+    fn latch_counts_down_and_wakes_waiter() {
         let latch = Latch::new(2);
         assert!(!latch.is_done());
-        assert!(!latch.wait_timeout(std::time::Duration::from_millis(5)));
         latch.complete_one();
         latch.complete_one();
         assert!(latch.is_done());
-        assert!(latch.wait_timeout(std::time::Duration::from_millis(5)));
         latch.wait(); // returns immediately once done
                       // Cross-thread: a waiter wakes when another thread counts down.
         let shared = Arc::new(Latch::new(1));
@@ -920,24 +860,13 @@ mod tests {
     #[test]
     fn recovery_gate_admits_exactly_one_recoverer() {
         let gate = RecoveryGate::new();
-        assert_eq!(
-            gate.await_healthy(std::time::Duration::from_millis(1)),
-            GateWait::Healthy
-        );
+        assert!(!gate.is_recovering());
         let token = gate.begin_recovery().expect("first claim");
         assert!(gate.is_recovering());
         assert!(gate.begin_recovery().is_none(), "no double respawn");
-        assert_eq!(
-            gate.await_healthy(std::time::Duration::from_millis(5)),
-            GateWait::TimedOut
-        );
         gate.finish(token);
         assert!(!gate.is_recovering());
         assert_eq!(gate.generation(), 1);
-        assert_eq!(
-            gate.await_healthy(std::time::Duration::from_millis(1)),
-            GateWait::Healthy
-        );
         // A fresh cycle can begin after the previous one finished.
         let token = gate.begin_recovery().expect("second cycle");
         gate.finish(token);
@@ -945,36 +874,17 @@ mod tests {
     }
 
     #[test]
-    fn recovery_gate_close_wakes_waiters_and_blocks_new_cycles() {
-        let gate = Arc::new(RecoveryGate::new());
+    fn recovery_gate_close_blocks_new_cycles() {
+        let gate = RecoveryGate::new();
         let token = gate.begin_recovery().expect("claim");
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.await_healthy(std::time::Duration::from_secs(30)))
-        };
-        // Shutdown races the in-flight recovery: the waiter must resolve
-        // with Closed, not block for the full 30 s.
+        // Shutdown races the in-flight recovery.
         gate.close();
-        assert_eq!(waiter.join().expect("join"), GateWait::Closed);
         assert!(gate.is_closed());
         assert!(gate.begin_recovery().is_none(), "closed gate admits no one");
         // The in-flight recovery still drains cleanly.
         gate.finish(token);
         assert!(!gate.is_recovering());
         gate.close(); // idempotent
-    }
-
-    #[test]
-    fn recovery_gate_finish_wakes_blocked_waiter() {
-        let gate = Arc::new(RecoveryGate::new());
-        let token = gate.begin_recovery().expect("claim");
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.await_healthy(std::time::Duration::from_secs(30)))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        gate.finish(token);
-        assert_eq!(waiter.join().expect("join"), GateWait::Healthy);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Why a push was rejected; the item (or batch) is handed back untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,26 +25,6 @@ pub enum PushError<P> {
     Full(P),
     /// The queue was closed; no further items are accepted.
     Closed(P),
-}
-
-impl<P> PushError<P> {
-    /// The rejected item (or batch), regardless of the reason.
-    pub fn into_inner(self) -> P {
-        match self {
-            PushError::Full(p) | PushError::Closed(p) => p,
-        }
-    }
-}
-
-/// Outcome of a [`SyncQueue::pop_timeout`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PopTimeout<T> {
-    /// An item was popped.
-    Item(T),
-    /// The timeout elapsed with the queue open but empty.
-    TimedOut,
-    /// The queue is closed and fully drained; no item will ever arrive.
-    Closed,
 }
 
 struct Inner<T> {
@@ -101,11 +80,6 @@ impl<T> SyncQueue<T> {
             capacity: Some(capacity.max(1)),
             ..Self::unbounded()
         }
-    }
-
-    /// The capacity limit, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of items currently queued.
@@ -236,49 +210,13 @@ impl<T> SyncQueue<T> {
             inner = self.not_empty.wait(inner);
         }
     }
-
-    /// Pops, blocking at most `timeout`; distinguishes an elapsed timeout
-    /// from the closed-and-drained terminal state so polling consumers can
-    /// interleave queue draining with control-flag checks.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopTimeout<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock_unpoisoned();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return PopTimeout::Item(item);
-            }
-            if inner.closed {
-                return PopTimeout::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return PopTimeout::TimedOut;
-            }
-            let (guard, timed_out) = self.not_empty.wait_timeout(inner, deadline - now);
-            inner = guard;
-            if timed_out && inner.items.is_empty() && !inner.closed {
-                return PopTimeout::TimedOut;
-            }
-        }
-    }
-
-    /// Removes and returns everything currently queued, waking blocked
-    /// producers.
-    pub fn drain(&self) -> Vec<T> {
-        let mut inner = self.inner.lock_unpoisoned();
-        let items: Vec<T> = inner.items.drain(..).collect();
-        drop(inner);
-        self.not_full.notify_all();
-        items
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_len() {
@@ -295,7 +233,6 @@ mod tests {
     #[test]
     fn bounded_queue_reports_full_and_returns_the_item() {
         let q = SyncQueue::bounded(2);
-        assert_eq!(q.capacity(), Some(2));
         q.try_push("a").unwrap();
         q.try_push("b").unwrap();
         let err = q.try_push("c").unwrap_err();
@@ -371,31 +308,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(producer.join().unwrap(), Err(PushError::Closed(2)));
-    }
-
-    #[test]
-    fn pop_timeout_distinguishes_timeout_from_closed() {
-        let q: SyncQueue<u8> = SyncQueue::unbounded();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(10)),
-            PopTimeout::TimedOut
-        );
-        q.try_push(7).unwrap();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(10)),
-            PopTimeout::Item(7)
-        );
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), PopTimeout::Closed);
-    }
-
-    #[test]
-    fn drain_empties_the_queue() {
-        let q = SyncQueue::unbounded();
-        q.push_many(vec![1, 2, 3]).unwrap();
-        assert_eq!(q.drain(), vec![1, 2, 3]);
-        assert!(q.is_empty());
-        assert_eq!(q.drain(), Vec::<i32>::new());
     }
 
     #[test]

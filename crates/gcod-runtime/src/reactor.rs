@@ -24,7 +24,6 @@
 //! protocol and reports a lost wakeup as a deadlock.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::sync::{Condvar, Mutex};
 
@@ -57,12 +56,10 @@ struct State {
 /// the final events alongside the close.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Wake {
-    /// The event bits this wakeup consumed (zero only on close or timeout).
+    /// The event bits this wakeup consumed (zero only on close).
     pub events: u64,
     /// Whether [`Reactor::close`] has been called.
     pub closed: bool,
-    /// Whether a [`Reactor::wait_timeout`] gave up before anything arrived.
-    pub timed_out: bool,
 }
 
 impl Wake {
@@ -134,36 +131,6 @@ impl Reactor {
         Wake {
             events: std::mem::take(&mut state.pending),
             closed: state.closed,
-            timed_out: false,
-        }
-    }
-
-    /// Like [`Reactor::wait`], but gives up after roughly `timeout`, in
-    /// which case `timed_out` is set and no bits are consumed.
-    ///
-    /// Spurious wakeups restart the budget (the wait loops on the full
-    /// `timeout` again), so the bound is best-effort — the same contract as
-    /// [`crate::RecoveryGate`]'s timed waits, chosen because it needs no
-    /// wall-clock read and therefore stays explorable by the model
-    /// scheduler, where timeouts resolve nondeterministically.
-    #[must_use]
-    pub fn wait_timeout(&self, timeout: Duration) -> Wake {
-        let mut state = self.inner.state.lock_unpoisoned();
-        while state.pending == 0 && !state.closed {
-            let (guard, timed_out) = self.inner.changed.wait_timeout(state, timeout);
-            state = guard;
-            if timed_out && state.pending == 0 && !state.closed {
-                return Wake {
-                    events: 0,
-                    closed: false,
-                    timed_out: true,
-                };
-            }
-        }
-        Wake {
-            events: std::mem::take(&mut state.pending),
-            closed: state.closed,
-            timed_out: false,
         }
     }
 
@@ -174,7 +141,6 @@ impl Reactor {
         Wake {
             events: std::mem::take(&mut state.pending),
             closed: state.closed,
-            timed_out: false,
         }
     }
 }
@@ -198,12 +164,6 @@ impl Waker {
         drop(state);
         self.inner.changed.notify_all();
     }
-
-    /// The event mask this waker raises.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
 }
 
 /// A one-shot, sticky completion cell: `set` once, observable forever.
@@ -211,8 +171,7 @@ impl Waker {
 /// This is the reactor-native replacement for counting down a
 /// [`crate::Latch`] when the count is always one: producers call
 /// [`Event::set`] exactly once (further calls are no-ops), consumers may
-/// poll [`Event::is_set`] or block in [`Event::wait`]/[`Event::wait_timeout`]
-/// — all through `&self`, any number of times, from any thread. A `set`
+/// poll [`Event::is_set`] or block in [`Event::wait`] — all through `&self`, any number of times, from any thread. A `set`
 /// that precedes the wait is observed immediately; the set-then-notify
 /// sequence runs under one lock, so there is no window for a lost wakeup.
 #[derive(Debug, Default)]
@@ -249,22 +208,6 @@ impl Event {
             set = self.changed.wait(set);
         }
     }
-
-    /// Blocks until the event is set or roughly `timeout` elapsed; `true`
-    /// when set. Spurious wakeups restart the budget, like
-    /// [`Reactor::wait_timeout`].
-    #[must_use]
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut set = self.set.lock_unpoisoned();
-        while !*set {
-            let (guard, timed_out) = self.changed.wait_timeout(set, timeout);
-            set = guard;
-            if timed_out && !*set {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +225,6 @@ mod tests {
         let wake = reactor.wait();
         assert!(wake.has(EV_A));
         assert!(!wake.closed);
-        assert!(!wake.timed_out);
         // The mask was cleared by the wait.
         let again = reactor.try_wait();
         assert_eq!(again.events, 0);
@@ -302,7 +244,6 @@ mod tests {
     fn wakers_raise_their_mask_across_threads() {
         let reactor = Reactor::new();
         let waker = reactor.waker(EV_B);
-        assert_eq!(waker.events(), EV_B);
         let producer = thread::spawn_named("waker", move || waker.wake());
         let wake = reactor.wait();
         assert!(wake.has(EV_B));
@@ -327,27 +268,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_gives_up_without_consuming() {
-        let reactor = Reactor::new();
-        let wake = reactor.wait_timeout(Duration::from_millis(1));
-        assert!(wake.timed_out);
-        assert_eq!(wake.events, 0);
-        reactor.raise(EV_A);
-        let wake = reactor.wait_timeout(Duration::from_secs(60));
-        assert!(!wake.timed_out);
-        assert!(wake.has(EV_A));
-    }
-
-    #[test]
     fn event_is_sticky_and_idempotent() {
         let event = Event::new();
         assert!(!event.is_set());
-        assert!(!event.wait_timeout(Duration::from_millis(1)));
         event.set();
         event.set();
         assert!(event.is_set());
         event.wait(); // returns immediately once set
-        assert!(event.wait_timeout(Duration::from_millis(1)));
     }
 
     #[test]

@@ -63,7 +63,6 @@ mod imp {
     //! The production path: zero-cost delegation to [`std::sync`].
 
     use std::sync::PoisonError;
-    use std::time::Duration;
 
     /// The facade's guard type; on the production path this is exactly
     /// [`std::sync::MutexGuard`].
@@ -103,22 +102,6 @@ mod imp {
         pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
             // gcod-check: allow(condvar-wait-while) — facade delegation; the caller owns the predicate loop.
             self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// As [`wait`](Condvar::wait) but gives up after `timeout`; the
-        /// boolean is `true` when the wait timed out (as opposed to being
-        /// notified).
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            timeout: Duration,
-        ) -> (MutexGuard<'a, T>, bool) {
-            let (guard, result) = self
-                .0
-                // gcod-check: allow(condvar-wait-while) — facade delegation; the caller owns the predicate loop.
-                .wait_timeout(guard, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            (guard, result.timed_out())
         }
 
         /// Wakes one blocked waiter.

@@ -26,19 +26,16 @@
 //! What the checker detects:
 //!
 //! * **Deadlocks** — an execution where some thread is blocked (on a lock,
-//!   an untimed condvar wait, or a join) and no thread can run. This is how
+//!   a condvar wait, or a join) and no thread can run. This is how
 //!   a *lost wakeup* manifests: a consumer that misses its notification
 //!   blocks forever on an interleaving the explorer is guaranteed to reach.
 //! * **Panics** — assertion failures inside the closure (invariant
 //!   violations, `unwrap` on impossible states) abort the exploration and
 //!   re-raise with the failing schedule's decision count for context.
 //!
-//! Timed waits (`Condvar::wait_timeout`) are modelled as *nondeterministic
-//! timeouts*: at any scheduling point the scheduler may wake a timed waiter
-//! with `timed_out = true`, so both the "notified in time" and the "timed
-//! out" paths are explored without any real clock. Untimed waits never wake
-//! spuriously — which is exactly what makes a missing re-check loop or a
-//! lost notification observable as a deadlock.
+//! The facade has no timed waits, and condvar waits never wake spuriously
+//! — which is exactly what makes a missing re-check loop or a lost
+//! notification observable as a deadlock.
 //!
 //! # What it is not
 //!
@@ -53,7 +50,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
-use std::time::Duration;
 
 /// Panic message used internally to unwind threads of an aborted execution;
 /// never surfaces to callers.
@@ -84,9 +80,8 @@ enum Run {
     Runnable,
     /// Waiting for a mutex to be released.
     BlockedLock(usize),
-    /// Waiting on a condvar; `timed` waits may be woken by a scheduled
-    /// timeout as well as by a notification.
-    BlockedCond { cv: usize, timed: bool },
+    /// Waiting on a condvar until notified.
+    BlockedCond(usize),
     /// Waiting for another model thread to finish.
     BlockedJoin(usize),
     /// Exited (normally or by panic).
@@ -97,9 +92,6 @@ enum Run {
 struct ThreadState {
     name: String,
     run: Run,
-    /// Set when a timed condvar wait was woken by a scheduled timeout (as
-    /// opposed to a notification); read back by the waking thread.
-    timed_out: bool,
 }
 
 #[derive(Debug, Default)]
@@ -117,13 +109,11 @@ struct CondvarState {
 struct Decision {
     /// Thread ids that could be scheduled, free choice first.
     enabled: Vec<usize>,
-    /// Per-`enabled` entry: whether choosing it costs a preemption. Staying
-    /// on a still-runnable running thread is free, as is any forced switch
-    /// (the running thread blocked or exited); switching away from a
-    /// runnable running thread costs one, and so does firing a timed wait's
-    /// timeout while some thread could run without it — otherwise a polling
-    /// loop's wait/timeout/retry cycle would be a free infinite schedule.
-    charged: Vec<bool>,
+    /// Whether choosing any entry but the first costs a preemption: true
+    /// when the running thread is still runnable (it sits first, and
+    /// switching away from it costs one); a forced switch (the running
+    /// thread blocked or exited) is free whichever thread it picks.
+    preemptive: bool,
     /// Index into `enabled` that was chosen.
     chosen: usize,
     /// Preemptions spent before this decision.
@@ -196,32 +186,24 @@ impl Scheduler {
     /// enabled thread. Records the decision. Detects deadlock and execution
     /// end. Must be called with the state lock held.
     fn pick_next(&self, st: &mut SchedState) {
-        let mut runnable: Vec<usize> = st
+        let mut enabled: Vec<usize> = st
             .threads
             .iter()
             .enumerate()
             .filter(|(_, t)| t.run == Run::Runnable)
             .map(|(id, _)| id)
             .collect();
-        let timed: Vec<usize> = st
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t.run, Run::BlockedCond { timed: true, .. }))
-            .map(|(id, _)| id)
-            .collect();
         let was_running = st.active;
         // Keep the free continuation at index 0 — the DFS explores
         // alternatives upward from the chosen index, so the default choice
         // must sit first for every other thread to be reachable. The free
-        // continuation is the running thread while it stays runnable, any
-        // runnable thread on a forced switch, and a timeout wake only when
-        // nothing else can run.
+        // continuation is the running thread while it stays runnable, and
+        // any runnable thread on a forced switch.
         let running_still_runnable = match was_running {
             Some(running) => {
-                if let Some(pos) = runnable.iter().position(|&id| id == running) {
-                    runnable.remove(pos);
-                    runnable.insert(0, running);
+                if let Some(pos) = enabled.iter().position(|&id| id == running) {
+                    enabled.remove(pos);
+                    enabled.insert(0, running);
                     true
                 } else {
                     false
@@ -229,22 +211,6 @@ impl Scheduler {
             }
             None => false,
         };
-        let mut enabled = runnable;
-        let runnable_count = enabled.len();
-        enabled.extend(timed);
-        let charged: Vec<bool> = enabled
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                if i >= runnable_count {
-                    // A timeout wake perturbs the schedule unless it is the
-                    // only way forward.
-                    runnable_count > 0
-                } else {
-                    running_still_runnable && Some(id) != was_running
-                }
-            })
-            .collect();
         if enabled.is_empty() {
             st.active = None;
             if st.live > 0 && st.abort.is_none() {
@@ -273,12 +239,12 @@ impl Scheduler {
             0
         };
         let preemptions_before = st.preemptions;
-        if charged[chosen] {
+        if running_still_runnable && chosen > 0 {
             st.preemptions += 1;
         }
         st.decisions.push(Decision {
             enabled: enabled.clone(),
-            charged,
+            preemptive: running_still_runnable,
             chosen,
             preemptions_before,
         });
@@ -287,15 +253,7 @@ impl Scheduler {
             "gcod-model: execution exceeded 100000 scheduling decisions — \
              the scenario likely contains an unbounded polling loop"
         );
-        let next = enabled[chosen];
-        // A timed condvar waiter picked directly (not via notify) wakes as a
-        // timeout.
-        if let Run::BlockedCond { cv, timed: true } = st.threads[next].run {
-            st.condvars[cv].waiters.retain(|&id| id != next);
-            st.threads[next].run = Run::Runnable;
-            st.threads[next].timed_out = true;
-        }
-        st.active = Some(next);
+        st.active = Some(enabled[chosen]);
         self.changed.notify_all();
     }
 
@@ -375,8 +333,7 @@ impl Scheduler {
 
     /// The condvar wait protocol: atomically release `mid`, enqueue on
     /// `cvid` and block; once woken (and scheduled), re-acquire `mid`.
-    /// Returns `true` when a timed wait woke by timeout.
-    fn cond_wait(&self, cvid: usize, mid: usize, me: usize, timed: bool) -> bool {
+    fn cond_wait(&self, cvid: usize, mid: usize, me: usize) {
         let mut st = lock_state(self);
         debug_assert_eq!(st.mutexes[mid].owner, Some(me), "wait without the lock");
         st.mutexes[mid].owner = None;
@@ -386,17 +343,15 @@ impl Scheduler {
             }
         }
         st.condvars[cvid].waiters.push_back(me);
-        st.threads[me].run = Run::BlockedCond { cv: cvid, timed };
-        st.threads[me].timed_out = false;
+        st.threads[me].run = Run::BlockedCond(cvid);
         self.pick_next(&mut st);
         st = self.wait_for_turn(st, me);
-        let timed_out = st.threads[me].timed_out;
         // Re-acquire the mutex (we are scheduled; contend like a fresh lock
         // but without an extra scheduling point — the wake was the decision).
         loop {
             if st.mutexes[mid].owner.is_none() {
                 st.mutexes[mid].owner = Some(me);
-                return timed_out;
+                return;
             }
             st.threads[me].run = Run::BlockedLock(mid);
             self.pick_next(&mut st);
@@ -410,7 +365,6 @@ impl Scheduler {
         let mut st = lock_state(self);
         if let Some(waiter) = st.condvars[cvid].waiters.pop_front() {
             st.threads[waiter].run = Run::Runnable;
-            st.threads[waiter].timed_out = false;
         }
     }
 
@@ -420,7 +374,6 @@ impl Scheduler {
         let mut st = lock_state(self);
         while let Some(waiter) = st.condvars[cvid].waiters.pop_front() {
             st.threads[waiter].run = Run::Runnable;
-            st.threads[waiter].timed_out = false;
         }
     }
 
@@ -430,7 +383,6 @@ impl Scheduler {
         st.threads.push(ThreadState {
             name: name.to_string(),
             run: Run::Runnable,
-            timed_out: false,
         });
         st.live += 1;
         st.threads.len() - 1
@@ -675,7 +627,7 @@ impl Model {
 fn next_prefix(decisions: &[Decision], max_preemptions: u32) -> Option<Vec<usize>> {
     for (i, decision) in decisions.iter().enumerate().rev() {
         for alt in decision.chosen + 1..decision.enabled.len() {
-            let extra = u32::from(decision.charged[alt]);
+            let extra = u32::from(decision.preemptive);
             if decision.preemptions_before + extra <= max_preemptions {
                 let mut prefix: Vec<usize> = decisions[..i].iter().map(|d| d.chosen).collect();
                 prefix.push(alt);
@@ -833,12 +785,8 @@ pub mod facade {
             }
         }
 
-        fn wait_inner<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            timed: bool,
-            timeout: Duration,
-        ) -> (MutexGuard<'a, T>, bool) {
+        /// Atomically releases `guard` and blocks until notified.
+        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
             match (current(), &guard.model) {
                 (Some((scheduler, me)), Some(_)) => {
                     let cvid = self
@@ -846,68 +794,29 @@ pub mod facade {
                         .get_or_register(&scheduler, || scheduler.register_condvar());
                     let (lock, model) = guard.dismantle();
                     let (_, mid) = model.expect("checked above");
-                    let timed_out = scheduler.cond_wait(cvid, mid, me, timed);
-                    (
-                        MutexGuard {
-                            lock,
-                            inner: Some(lock.std_guard()),
-                            model: Some((scheduler, mid)),
-                        },
-                        timed_out,
-                    )
+                    scheduler.cond_wait(cvid, mid, me);
+                    MutexGuard {
+                        lock,
+                        inner: Some(lock.std_guard()),
+                        model: Some((scheduler, mid)),
+                    }
                 }
                 _ => {
                     // Outside a model execution: plain std wait on the real
                     // mutex through the real condvar.
                     let (lock, model) = guard.dismantle();
-                    let std_guard = lock.std_guard();
-                    if timed {
-                        let (g, result) = self
-                            .inner
-                            // gcod-check: allow(condvar-wait-while) — facade delegation; the caller owns the predicate loop.
-                            .wait_timeout(std_guard, timeout)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        (
-                            MutexGuard {
-                                lock,
-                                inner: Some(g),
-                                model,
-                            },
-                            result.timed_out(),
-                        )
-                    } else {
-                        let g = self
-                            .inner
-                            // gcod-check: allow(condvar-wait-while) — facade delegation; the caller owns the predicate loop.
-                            .wait(std_guard)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        (
-                            MutexGuard {
-                                lock,
-                                inner: Some(g),
-                                model,
-                            },
-                            false,
-                        )
+                    let g = self
+                        .inner
+                        // gcod-check: allow(condvar-wait-while) — facade delegation; the caller owns the predicate loop.
+                        .wait(lock.std_guard())
+                        .unwrap_or_else(PoisonError::into_inner);
+                    MutexGuard {
+                        lock,
+                        inner: Some(g),
+                        model,
                     }
                 }
             }
-        }
-
-        /// Atomically releases `guard` and blocks until notified.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            self.wait_inner(guard, false, Duration::ZERO).0
-        }
-
-        /// As [`wait`](Condvar::wait) with a timeout; under a model
-        /// execution the timeout may fire at any scheduling point (the
-        /// clock is not modelled), so both outcomes are explored.
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            timeout: Duration,
-        ) -> (MutexGuard<'a, T>, bool) {
-            self.wait_inner(guard, true, timeout)
         }
 
         /// Wakes one blocked waiter.

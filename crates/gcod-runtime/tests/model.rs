@@ -15,11 +15,10 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use gcod_runtime::sync::model::{self, Model};
 use gcod_runtime::sync::{thread, Condvar, Mutex};
-use gcod_runtime::{Latch, Pool, PopTimeout, Reactor, SyncQueue};
+use gcod_runtime::{Latch, Pool, Reactor, SyncQueue};
 
 /// Every schedule of two producers racing one consumer must hand both items
 /// over — a lost wakeup would strand the consumer in `pop` and show up as a
@@ -49,53 +48,6 @@ fn queue_push_pop_loses_no_wakeup() {
         );
         for producer in producers {
             producer.join().expect("producer ran to completion");
-        }
-    });
-    assert!(
-        report.interleavings >= 1000,
-        "expected a meaningful exploration, got {} interleavings",
-        report.interleavings
-    );
-}
-
-/// `pop_timeout` must resolve on every schedule: the item when the producer
-/// won the race, `TimedOut` when the scheduler fired the timeout first —
-/// never a hang, and never `Closed` on an open queue.
-#[test]
-fn queue_pop_timeout_always_resolves() {
-    let model = Model {
-        max_preemptions: 3,
-        ..Model::default()
-    };
-    let report = model.check("queue-pop-timeout", || {
-        let q = Arc::new(SyncQueue::unbounded());
-        let producers: Vec<_> = (0..2)
-            .map(|i| {
-                let q = Arc::clone(&q);
-                thread::spawn_named(&format!("producer-{i}"), move || {
-                    q.try_push(7u8).expect("queue is open");
-                })
-            })
-            .collect();
-        for _ in 0..2 {
-            match q.pop_timeout(Duration::from_millis(1)) {
-                PopTimeout::Item(v) => assert_eq!(v, 7),
-                PopTimeout::TimedOut => {}
-                PopTimeout::Closed => panic!("open queue must never report Closed"),
-            }
-        }
-        for producer in producers {
-            producer.join().expect("producer ran to completion");
-        }
-        // Whatever the pops saw in time, both items are accounted for after
-        // the join: drain whatever remains, then observe the closed state.
-        q.close();
-        loop {
-            match q.pop_timeout(Duration::from_millis(1)) {
-                PopTimeout::Item(v) => assert_eq!(v, 7),
-                PopTimeout::Closed => break,
-                PopTimeout::TimedOut => panic!("a closed queue must never time out"),
-            }
         }
     });
     assert!(
@@ -167,24 +119,6 @@ fn latch_wait_never_hangs() {
         "expected a meaningful exploration, got {} interleavings",
         report.interleavings
     );
-}
-
-/// `Latch::wait_timeout` must resolve on every schedule — completed when the
-/// completer won, `false` when the timeout fired first — and never hang even
-/// when the count never reaches zero on that schedule.
-#[test]
-fn latch_wait_timeout_always_resolves() {
-    model::check("latch-wait-timeout", || {
-        let latch = Arc::new(Latch::new(1));
-        let completer = {
-            let latch = Arc::clone(&latch);
-            thread::spawn_named("completer", move || latch.complete_one())
-        };
-        // Either outcome is legal; hanging or panicking is not.
-        let _completed = latch.wait_timeout(Duration::from_millis(1));
-        completer.join().expect("completer ran to completion");
-        assert!(latch.is_done(), "after the join the count must be zero");
-    });
 }
 
 /// A full pool lifecycle — spawn a worker, run a batch, drop (close + join)
@@ -295,30 +229,6 @@ fn reactor_close_wakes_consumer_without_dropping_events() {
         "expected a meaningful exploration, got {} interleavings",
         report.interleavings
     );
-}
-
-/// `Reactor::wait_timeout` must resolve on every schedule — with the bit
-/// when the raiser won, `timed_out` when the timeout fired first — and never
-/// hang.
-#[test]
-fn reactor_wait_timeout_always_resolves() {
-    model::check("reactor-wait-timeout", || {
-        let reactor = Reactor::new();
-        let raiser = {
-            let waker = reactor.waker(1);
-            thread::spawn_named("raiser", move || waker.wake())
-        };
-        let wake = reactor.wait_timeout(Duration::from_millis(1));
-        assert!(!wake.closed, "nobody closed the reactor");
-        raiser.join().expect("raiser ran to completion");
-        // After the join the raise has happened; if the timed wait missed
-        // it, the sticky mask still holds it.
-        if wake.timed_out {
-            assert_eq!(reactor.try_wait().events, 1);
-        } else {
-            assert_eq!(wake.events, 1);
-        }
-    });
 }
 
 /// A queue with the classic lost-wakeup bug: `pop` checks for an item,

@@ -79,13 +79,6 @@ impl ServedModel {
         self
     }
 
-    /// Renames the served model (the batching/routing key).
-    #[must_use]
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Selects the SpMM kernel the CPU execution path aggregates with.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
@@ -224,13 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn builders_set_name_kernel_and_workers() {
+    fn builders_set_kernel_workers_and_precision() {
         let m = served()
-            .named("renamed")
             .with_kernel(KernelKind::ParallelCsr)
             .with_workers(2)
             .with_precision(Precision::Int8);
-        assert_eq!(m.name(), "renamed");
         assert_eq!(m.model().kernel(), KernelKind::ParallelCsr);
         assert_eq!(m.model().workers(), 2);
         assert_eq!(m.model().precision(), Precision::Int8);

@@ -16,7 +16,8 @@ pub enum Backend {
 
 impl Backend {
     /// Convenience constructor for a named backend.
-    pub fn named(name: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn named(name: impl Into<String>) -> Self {
         Backend::Named(name.into())
     }
 }

@@ -174,7 +174,6 @@ struct Shared {
     /// Live transport counters of every sharded model the server owns, so
     /// `Handle::stats` can fold them into the snapshot.
     shard_stats: Vec<Arc<ShardStatsAtomics>>,
-    next_id: AtomicU64,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
 }
@@ -191,7 +190,6 @@ impl Shared {
             control_changed: Condvar::new(),
             stats: Stats::default(),
             shard_stats,
-            next_id: AtomicU64::new(0),
             queue_capacity: config.queue_capacity.max(1),
             default_deadline: config.default_deadline,
         }
@@ -347,11 +345,6 @@ impl Server {
     /// Names of every served model, sorted.
     pub(crate) fn model_names(&self) -> Vec<String> {
         self.models.keys().cloned().collect()
-    }
-
-    /// The server configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
     }
 
     /// Answers one request synchronously on the calling thread — the
@@ -673,13 +666,6 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// The default options: no explicit deadline (the server's
-    /// `default_deadline` applies), non-blocking submission.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Requires an answer within `within` of submission; requests still
     /// queued when the deadline passes resolve with
     /// [`RejectReason::DeadlineExpired`] instead of executing, and the
@@ -768,8 +754,7 @@ impl Handle {
                 }
             }
         }
-        let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let (ticket, completion) = ticket_pair(id);
+        let (ticket, completion) = ticket_pair();
         let submission = Submission {
             request,
             // gcod-check: allow(wall-clock) — client deadlines are wall-clock contracts, not simulated time.

@@ -13,7 +13,6 @@ use crate::request::ServeResponse;
 use gcod_runtime::reactor::Event;
 use gcod_runtime::sync::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct TicketState {
     done: Event,
@@ -30,24 +29,19 @@ struct TicketState {
 /// and every accessor takes `&self`, so a resolved ticket can be read any
 /// number of times, from any thread, in any order:
 ///
-/// * [`is_done`](Ticket::is_done) — non-blocking completion probe, never
-///   touches the result,
 /// * [`try_result`](Ticket::try_result) — non-blocking; `Some(outcome)`
 ///   once resolved, `None` while pending,
-/// * [`wait_timeout`](Ticket::wait_timeout) — blocks up to the timeout;
-///   `Some(outcome)` or `None` on timeout,
 /// * [`wait`](Ticket::wait) — blocks until resolved and returns the
 ///   outcome.
 ///
-/// All four agree: once any of them observes completion, all of them do,
-/// and they all return clones of the same stored outcome. Tickets are
+/// Both agree: once either observes completion, so does the other, and
+/// both return clones of the same stored outcome. Tickets are
 /// `Clone`; clones share the same completion state.
 ///
 /// [`RejectReason::DeadlineExpired`]: crate::RejectReason::DeadlineExpired
 #[derive(Debug, Clone)]
 pub struct Ticket {
     state: Arc<TicketState>,
-    id: u64,
 }
 
 impl std::fmt::Debug for TicketState {
@@ -59,30 +53,10 @@ impl std::fmt::Debug for TicketState {
 }
 
 impl Ticket {
-    /// Identifier of this submission (unique per server, in submission
-    /// order).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Whether the server has resolved this ticket.
-    pub fn is_done(&self) -> bool {
-        self.state.done.is_set()
-    }
-
     /// Blocks until the server resolves the ticket and returns the outcome.
     pub fn wait(&self) -> Result<ServeResponse> {
         self.state.done.wait();
         self.take_result()
-    }
-
-    /// Blocks at most `timeout`; `None` when the ticket is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServeResponse>> {
-        if self.state.done.wait_timeout(timeout) {
-            Some(self.take_result())
-        } else {
-            None
-        }
     }
 
     /// Non-blocking probe: the outcome if resolved, `None` while pending.
@@ -139,8 +113,8 @@ impl Drop for Completion {
     }
 }
 
-/// Creates a linked ticket/completion pair for submission `id`.
-pub(crate) fn ticket_pair(id: u64) -> (Ticket, Completion) {
+/// Creates a linked ticket/completion pair.
+pub(crate) fn ticket_pair() -> (Ticket, Completion) {
     let state = Arc::new(TicketState {
         done: Event::new(),
         result: Mutex::new(None),
@@ -148,7 +122,6 @@ pub(crate) fn ticket_pair(id: u64) -> (Ticket, Completion) {
     (
         Ticket {
             state: Arc::clone(&state),
-            id,
         },
         Completion {
             state,
@@ -162,6 +135,7 @@ mod tests {
     use super::*;
     use crate::request::{Classification, ServeResponse};
     use gcod_nn::Tensor;
+    use std::time::Duration;
 
     fn response() -> ServeResponse {
         ServeResponse::Classification(Classification {
@@ -174,21 +148,10 @@ mod tests {
 
     #[test]
     fn fulfilled_ticket_resolves_for_every_accessor() {
-        let (ticket, completion) = ticket_pair(7);
-        assert_eq!(ticket.id(), 7);
-        assert!(!ticket.is_done());
+        let (ticket, completion) = ticket_pair();
         assert!(ticket.try_result().is_none());
-        assert!(ticket.wait_timeout(Duration::from_millis(1)).is_none());
         completion.fulfill(Ok(response()));
-        assert!(ticket.is_done());
         assert_eq!(ticket.try_result().unwrap().unwrap(), response());
-        assert_eq!(
-            ticket
-                .wait_timeout(Duration::from_millis(1))
-                .unwrap()
-                .unwrap(),
-            response()
-        );
         // `wait` borrows: a resolved ticket can be read again and again.
         assert_eq!(ticket.wait().unwrap(), response());
         assert_eq!(ticket.wait().unwrap(), response());
@@ -196,7 +159,7 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_fulfilled_cross_thread() {
-        let (ticket, completion) = ticket_pair(0);
+        let (ticket, completion) = ticket_pair();
         let waiter = std::thread::spawn(move || ticket.wait());
         std::thread::sleep(Duration::from_millis(10));
         completion.fulfill(Ok(response()));
@@ -205,17 +168,16 @@ mod tests {
 
     #[test]
     fn clones_share_the_same_completion() {
-        let (ticket, completion) = ticket_pair(3);
+        let (ticket, completion) = ticket_pair();
         let twin = ticket.clone();
         completion.fulfill(Ok(response()));
-        assert!(twin.is_done());
         assert_eq!(twin.wait().unwrap(), response());
         assert_eq!(ticket.wait().unwrap(), response());
     }
 
     #[test]
     fn dropped_completion_cancels_instead_of_hanging() {
-        let (ticket, completion) = ticket_pair(0);
+        let (ticket, completion) = ticket_pair();
         drop(completion);
         assert_eq!(ticket.wait(), Err(ServeError::Canceled));
     }

@@ -115,11 +115,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan scripts nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// A reproducible pseudo-random plan of `faults` entries over `shards`
     /// connections, derived from `seed` with a xorshift64* generator (no
     /// external RNG, no wall clock — same seed, same plan, forever).
@@ -195,11 +190,6 @@ pub struct ChaosConn {
 }
 
 impl ChaosConn {
-    /// A pass-through wrapper with no scripted faults.
-    pub fn new(inner: ShardConn) -> Self {
-        ChaosConn::with_faults(inner, Vec::new())
-    }
-
     /// Wraps `inner` with this connection's scripted faults (see
     /// [`FaultPlan::transport_entries`]).
     pub fn with_faults(inner: ShardConn, faults: Vec<FaultEntry>) -> Self {
@@ -235,18 +225,6 @@ impl ChaosConn {
     /// Severs both directions of the underlying connection.
     pub fn shutdown_both(&self) {
         self.inner.shutdown_both();
-    }
-
-    /// Frames fully written so far (dropped frames included — the script
-    /// consumed them).
-    pub fn frames_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Frames fully read from the inner connection so far (dropped frames
-    /// included).
-    pub fn frames_received(&self) -> u64 {
-        self.received
     }
 
     /// Removes and returns the first unfired fault matching `nth` in the

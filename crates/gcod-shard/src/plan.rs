@@ -68,7 +68,6 @@ pub struct ShardPlan {
     partitioning: Partitioning,
     num_layers: usize,
     num_nodes: usize,
-    feature_dim: usize,
     output_dim: usize,
 }
 
@@ -244,7 +243,6 @@ impl ShardPlan {
             partitioning,
             num_layers: model.layers().len(),
             num_nodes: n,
-            feature_dim: graph.feature_dim(),
             output_dim,
         })
     }
@@ -262,11 +260,6 @@ impl ShardPlan {
     /// Total nodes in the planned graph.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Input feature dimension.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
     }
 
     /// Output dimension of the final layer.

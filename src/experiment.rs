@@ -265,10 +265,15 @@ impl Experiment {
     /// queries on, and the pruned fp32/int8 workloads plus denser/sparser
     /// split that make the accelerator platforms eligible routing backends.
     ///
-    /// The served model is named `"<dataset>-<model>"` (rename with
-    /// [`ServedModel::named`](gcod_serve::ServedModel::named)); register it
-    /// on a [`Server`](gcod_serve::Server) and
-    /// [`spawn`](gcod_serve::Server::spawn) to start answering requests:
+    /// The served model is named `"<dataset>-<model>"`; register it on a
+    /// [`Server`](gcod_serve::Server) and
+    /// [`spawn`](gcod_serve::Server::spawn) to start answering requests.
+    ///
+    /// Node ids in a request are rows of the served
+    /// [`graph()`](gcod_serve::ServedModel::graph): the tuned graph in
+    /// layout order, not the graph [`generate`](Experiment::generate)
+    /// returns. Node 0 of one is in general another node of the other;
+    /// ROADMAP item 18 maps the ids at the serving boundary.
     ///
     /// ```no_run
     /// use gcod::prelude::*;

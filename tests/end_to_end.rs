@@ -7,11 +7,12 @@ use gcod::accel::config::AcceleratorConfig;
 use gcod::accel::simulator::GcodAccelerator;
 use gcod::baselines::{suite, Platform, SimRequest};
 use gcod::core::{GcodConfig, GcodPipeline, Polarizer, SplitWorkload, SubgraphLayout};
-use gcod::graph::{DatasetProfile, GraphGenerator, GraphStats, QuantWidth};
+use gcod::graph::{DatasetProfile, Graph, GraphGenerator, GraphStats, QuantWidth};
 use gcod::nn::models::{GnnModel, ModelConfig, ModelKind};
 use gcod::nn::quant::{Precision, QuantizedModel};
 use gcod::nn::train::{TrainConfig, Trainer};
 use gcod::nn::workload::InferenceWorkload;
+use gcod::shard::{ShardPlan, ShardPlanConfig};
 
 fn fast_config() -> GcodConfig {
     GcodConfig {
@@ -246,4 +247,49 @@ fn graph_statistics_remain_power_law_after_tuning() {
         after.max_degree as f64 > before.max_degree as f64 * 0.5,
         "hubs destroyed"
     );
+}
+
+#[test]
+fn codesign_cuts_the_shard_halo_exactly() {
+    // Halo nodes of a k-way `ShardPlan` over the generated replica and over
+    // the same replica after `tune()`'s reorder, polarize and structural
+    // sparsification: (dataset, [original k=2, k=4], [tuned k=2, k=4]).
+    // ROADMAP finding 3 counted the same numbers with the partitioner.
+    let pinned = [
+        ("cora", [443, 882], [88, 109]),
+        ("citeseer", [251, 425], [10, 116]),
+        ("pubmed", [404, 989], [101, 101]),
+    ];
+    let halo = |graph: &Graph, k: usize| {
+        let model = GnnModel::new(ModelConfig::gcn(graph), 1).expect("model");
+        ShardPlan::build(graph, &model, &ShardPlanConfig::new(k))
+            .expect("plan")
+            .total_halo_nodes()
+    };
+    let measured = pinned.map(|(dataset, _, _)| {
+        let run = gcod::Experiment::on_dataset(dataset)
+            .expect("known dataset")
+            .scale_to_nodes(1200)
+            .seed(1)
+            .tune()
+            .expect("tune");
+        let tuned = run
+            .reordered
+            .with_adjacency(run.adjacency)
+            .expect("tuned graph");
+        (
+            dataset,
+            [2, 4].map(|k| halo(&run.original, k)),
+            [2, 4].map(|k| halo(&tuned, k)),
+        )
+    });
+    assert_eq!(measured, pinned);
+    for (dataset, original, tuned) in measured {
+        for i in 0..2 {
+            assert!(
+                tuned[i] < original[i],
+                "{dataset}: {tuned:?} vs {original:?}"
+            );
+        }
+    }
 }
